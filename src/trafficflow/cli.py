@@ -1,8 +1,8 @@
 """Command-line driver: simulate / compare / uq / analyze.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 I/O error.
-Every run is reproducible from (scenario file, seed); `--threads` is accepted
-for symmetry but never changes results.
+Every run is reproducible from (scenario file, seed). `--threads` is accepted
+but has no effect: every command runs on one thread.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +72,10 @@ def run_model(scenario: Scenario, model: str, seed: int = 0, y=None,
 def _parse_times(arg, params: ModelParams):
     if arg is None:
         return None
-    return tuple(float(v) for v in arg.split(","))
+    try:
+        return tuple(float(v) for v in arg.split(","))
+    except ValueError:
+        raise ConfigError(f"--times: not a list of numbers: {arg!r}") from None
 
 
 def _write_run(out_dir: Path, fields: dict, meta: dict) -> None:
@@ -151,12 +155,18 @@ def cmd_uq(args) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.uq is None:
         raise ConfigError("scenario lacks a uq section")
+    model = args.model
+    if args.accident_size is not None:
+        raise ConfigError("--accident-size does not apply to uq commands: "
+                          "the accident size is the random input there")
+    if model == "macro2" and args.micro_speed != "linear":
+        raise ConfigError("--micro-speed applies to the micro model only")
+    speed_law = MICRO_SPEED_LAWS[args.micro_speed]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_samples = args.samples or scenario.uq.n_samples
     n_nodes = args.nodes or scenario.uq.pce_nodes
     order = args.order if args.order is not None else scenario.uq.pce_order
-    model = args.model
     meta = {
         "mode": args.uq_mode,
         "model": model,
@@ -165,16 +175,20 @@ def cmd_uq(args) -> int:
         "alpha": scenario.uq.alpha,
         "beta": scenario.uq.beta,
     }
+    if model == "micro":
+        meta["micro_speed"] = args.micro_speed
 
     if args.uq_mode == "mc":
-        stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed)
+        stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed,
+                               speed_law=speed_law)
         output.write_stats_csv(out_dir / "mc_summary.csv", stats)
-        meta["n_samples"] = n_samples
+        meta.update(n_samples=n_samples, mc_rows_solved=stats.rows_solved)
     elif args.uq_mode == "pce":
         if scenario.uq.distribution != "uniform":
             raise ConfigError("the Galerkin expansion supports the uniform "
                               "distribution only")
-        runner = uq.run_pce_macro if model == "macro2" else uq.run_pce_micro
+        runner = (uq.run_pce_macro if model == "macro2"
+                  else partial(uq.run_pce_micro, speed_law=speed_law))
         fields = runner(scenario, n_nodes=n_nodes, K=order,
                         out_times=(scenario.params.T,))
         for t, field in sorted(fields.items()):
@@ -185,12 +199,14 @@ def cmd_uq(args) -> int:
         if scenario.uq.distribution != "uniform":
             raise ConfigError("the Galerkin expansion supports the uniform "
                               "distribution only")
-        stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed)
-        result = uq.pce_convergence_study(scenario, model, stats)
+        stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed,
+                               speed_law=speed_law)
+        result = uq.pce_convergence_study(scenario, model, stats,
+                                          speed_law=speed_law)
         output.write_stats_csv(out_dir / "mc_summary.csv", stats)
         output.write_convergence_csv(out_dir / "convergence.csv", result)
-        meta.update(n_samples=n_samples, rate_rho=result.rate_rho,
-                    rate_h=result.rate_h)
+        meta.update(n_samples=n_samples, mc_rows_solved=stats.rows_solved,
+                    rate_rho=result.rate_rho, rate_h=result.rate_h)
     else:
         raise ConfigError(f"unknown uq mode {args.uq_mode!r}")
 
@@ -258,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=0,
-                       help="0 = auto; results never depend on this")
+                       help="accepted but has no effect: every command "
+                            "runs on one thread")
         p.add_argument("--accident-size", type=float, default=None,
                        help="fixed accident half-width Y for deterministic "
                             "runs with the accident capacity")

@@ -199,14 +199,31 @@ def run_micro(state: MicroState, capacity: CapacitySpec, params: ModelParams,
 
 
 def _snap_times(out_times, params: ModelParams) -> dict:
-    """Map requested output times to step indices (nearest step)."""
-    if out_times is None:
-        out_times = (0.0, params.T / 2, params.T)
+    """Map output times to step indices, {step: requested time}.
+
+    A requested time must lie on the step grid up to rounding, and no two
+    may share a step. The default (0, T/2, T) is built from step indices;
+    its middle snapshot is the step nearest T/2 and keeps the label T/2.
+    """
     n_steps = params.n_steps()
+    if out_times is None:
+        # on very short runs the middle step coincides with an end point,
+        # whose label then wins
+        mid = int(round(params.T / 2 / params.dt))
+        return {mid: params.T / 2, 0: 0.0, n_steps: params.T}
     snapped = {}
     for t in out_times:
-        j = int(round(t / params.dt))
+        steps = t / params.dt
+        if not np.isfinite(steps):
+            raise ConfigError(f"output time {t} is not a finite number")
+        j = int(round(steps))
         if not 0 <= j <= n_steps:
             raise ConfigError(f"output time {t} outside [0, T]")
+        if abs(steps - j) > 1e-9 * max(1, j):
+            raise ConfigError(f"output time {t} is not a multiple of "
+                              f"dt = {params.dt}")
+        if j in snapped:
+            raise ConfigError(f"output times {snapped[j]} and {t} fall on "
+                              f"the same step {j}")
         snapped[j] = t
     return snapped

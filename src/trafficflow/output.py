@@ -38,20 +38,6 @@ def read_fields_csv(path, grid: Grid1D) -> MacroField:
     return MacroField(rho=data[:, 1], h=data[:, 2], grid=grid)
 
 
-def write_trajectory_csv(path, times, positions_by_time) -> None:
-    """Micro trajectory dump: one row per (t, vehicle index, position)."""
-    lines = ["t,i,x_i"]
-    for t, pos in zip(times, positions_by_time):
-        for i, x in enumerate(pos):
-            lines.append(f"{_fmt(t)},{i},{_fmt(x)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_ensemble_csv(path, t: float, x, s) -> None:
-    _write_rows(Path(path), ["t", "X", "S"],
-                [np.full(len(x), t), np.asarray(x), np.asarray(s)])
-
-
 def write_stats_csv(path, stats: StatSummary) -> None:
     _write_rows(Path(path),
                 ["x", "rho_mean", "rho_median", "rho_q05", "rho_q95",

@@ -9,6 +9,7 @@ the conservative second-order macro model and the microscopic ODE model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .core import (
     NumericalError,
     capacity_eval,
     headway_H,
+    micro_speed_Vtilde,
     pressure,
     speed_V,
 )
@@ -244,8 +246,10 @@ def pce_macro_step(modes: PceModesMacro, capacity: CapacitySpec,
 
 def pce_micro_step(modes: PceModesMicro, capacity: CapacitySpec,
                    params: ModelParams, quad: Quadrature,
-                   phi: np.ndarray | None = None) -> PceModesMicro:
-    """Explicit Euler on position modes; speeds reconstructed at the nodes."""
+                   phi: np.ndarray | None = None,
+                   speed_law=micro_speed_Vtilde) -> PceModesMicro:
+    """Explicit Euler on position modes; speeds reconstructed at the nodes
+    with the follow-the-leader law speed_law, floored at zero."""
     K = modes.order
     if K + 1 > quad.n:
         raise ConfigError("quadrature must have at least K+1 nodes")
@@ -259,7 +263,7 @@ def pce_micro_step(modes: PceModesMicro, capacity: CapacitySpec,
                              "node")
     wrapped = modes.x_min + np.mod(x_y - modes.x_min, modes.road_length)
     c = capacity_eval(capacity, wrapped, quad.y_nodes[None, :])
-    speed = np.maximum(1.0 - modes.L / gaps, 0.0)
+    speed = np.maximum(speed_law(modes.L / gaps), 0.0)
     rate = c * speed  # (N, n)
     xdot_hat = np.einsum("nq,kq,q->nk", rate, phi, 0.5 * quad.weights)
     return PceModesMicro(x_hat=modes.x_hat + params.dt * xdot_hat,
@@ -344,7 +348,7 @@ def run_pce_macro(scenario: Scenario, n_nodes: int, K: int = 0,
 
 
 def run_pce_micro(scenario: Scenario, n_nodes: int, K: int = 0,
-                  out_times=None):
+                  out_times=None, speed_law=micro_speed_Vtilde):
     params, grid = scenario.params, scenario.grid
     quad = gauss_legendre(n_nodes)
     phi = legendre_basis(K, quad.y_nodes)
@@ -358,7 +362,7 @@ def run_pce_micro(scenario: Scenario, n_nodes: int, K: int = 0,
                                                       quad, phi)
     for j in range(1, params.n_steps() + 1):
         modes = pce_micro_step(modes, scenario.capacity, params, quad,
-                               phi=phi)
+                               phi=phi, speed_law=speed_law)
         if j in out:
             fields[out[j]] = expectation_from_micro_modes(modes, grid,
                                                           params.L, quad,
@@ -384,14 +388,18 @@ class StatSummary:
     h_median: np.ndarray
     h_q05: np.ndarray
     h_q95: np.ndarray
+    rows_solved: int  # model rows actually stepped to produce the samples
 
 
-def _summarize(grid: Grid1D, rho: np.ndarray, h: np.ndarray) -> StatSummary:
+def _summarize(grid: Grid1D, rho: np.ndarray, h: np.ndarray,
+               rows_solved: int | None = None) -> StatSummary:
     """Stats over the sample axis (axis 0). Median is the lower-interpolated
-    empirical quantile; the 5%/95% quantiles interpolate linearly."""
+    empirical quantile; the 5%/95% quantiles interpolate linearly.
+    rows_solved defaults to one row per sample."""
     return StatSummary(
         grid=grid,
         n_samples=rho.shape[0],
+        rows_solved=rho.shape[0] if rows_solved is None else rows_solved,
         rho_mean=rho.mean(axis=0),
         rho_median=np.quantile(rho, 0.5, axis=0, method="lower"),
         rho_q05=np.quantile(rho, 0.05, axis=0, method="linear"),
@@ -412,55 +420,69 @@ def sample_accident_sizes(dist: AccidentDistribution, n_samples: int,
 
 
 def monte_carlo(scenario: Scenario, model: str, n_samples: int,
-                seed: int = 0) -> StatSummary:
+                seed: int = 0,
+                speed_law=micro_speed_Vtilde) -> StatSummary:
     """Per-cell statistics of the chosen model at T over sampled accident
-    sizes. All samples evolve as one batch (row j = sample j), which is
-    equivalent to independent runs because rows never interact."""
+    sizes. Samples evolve as batches (one row per sample), which is
+    equivalent to independent runs because rows never interact; speed_law
+    is the follow-the-leader law of the micro model."""
     if model not in ("micro", "macro2"):
         raise ConfigError("monte_carlo supports the micro and macro2 models")
     if scenario.uq is None:
         raise ConfigError("scenario lacks a uq section")
+    if n_samples < 1:
+        raise ConfigError(f"need at least one sample, got {n_samples}")
     dist = AccidentDistribution(scenario.uq.alpha, scenario.uq.beta)
     ys = sample_accident_sizes(dist, n_samples, seed)
     params, grid = scenario.params, scenario.grid
 
-    # Samples evolve in chunks small enough to stay cache-resident; rows are
+    # Rows evolve in chunks small enough to stay cache-resident; rows are
     # independent and every operation is elementwise per row, so the chunk
     # size cannot change the results.
     chunk = 64
 
     if model == "macro2":
         macro.cfl_check(params, scenario.capacity, grid)
+        # The macro solvers see Y only through c(x_i; Y), so samples that
+        # cover the same cells give bit-identical rows: step each distinct
+        # capacity row once and expand the results afterwards. The capacity
+        # of all samples is a temporary, freed before the stepping starts.
+        c_rows, inverse = np.unique(
+            np.broadcast_to(
+                macro.capacity_on_grid(scenario.capacity, grid, ys),
+                (n_samples, grid.n_cells)),
+            axis=0, return_inverse=True)
+        inverse = inverse.ravel()  # numpy 2.0.0 returns it as a column
         rho0 = scenario.rho0_field()
         h0 = scenario.h0_field()
         use_conservative = params.a == 0.0
         rho_out, h_out = [], []
-        for lo in range(0, n_samples, chunk):
-            y_chunk = ys[lo:lo + chunk]
-            c = macro.capacity_on_grid(scenario.capacity, grid, y_chunk)
-            rho = np.tile(rho0, (len(y_chunk), 1))
+        for lo in range(0, len(c_rows), chunk):
+            c = c_rows[lo:lo + chunk]
+            rho = np.tile(rho0, (len(c), 1))
             if use_conservative:
                 # Same conservative discretization the Galerkin system uses,
                 # so PCE expectations can converge to this reference without
                 # a formulation-offset floor. The splitting form is needed
                 # only when the relaxation source is active.
-                z = rho * (np.tile(h0, (len(y_chunk), 1))
-                           + pressure(rho, params))
+                z = rho * (np.tile(h0, (len(c), 1)) + pressure(rho, params))
                 for _ in range(params.n_steps()):
                     rho, z = macro.lf_step_conservative(
                         rho, z, scenario.capacity, params, grid, c=c)
                 h = z / rho - pressure(rho, params)
             else:
-                h = np.tile(h0, (len(y_chunk), 1))
+                h = np.tile(h0, (len(c), 1))
                 for _ in range(params.n_steps()):
                     rho, h = macro.lf_step_second_order(
                         rho, h, scenario.capacity, params, grid, c=c)
             rho_out.append(rho)
             h_out.append(h)
-        return _summarize(grid, np.concatenate(rho_out),
-                          np.concatenate(h_out))
+        return _summarize(grid, np.concatenate(rho_out)[inverse],
+                          np.concatenate(h_out)[inverse],
+                          rows_solved=len(c_rows))
 
-    # micro: batch of position arrays, one row per sample
+    # micro: batch of position arrays, one row per sample; the capacity is
+    # evaluated at each vehicle's position, so every sample is distinct work
     state = micro_init_from_density(scenario.rho0, params.N, params.L, grid)
     pos_out = []
     for lo in range(0, n_samples, chunk):
@@ -468,7 +490,8 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
         pos = np.tile(state.positions, (len(y_col), 1))
         for _ in range(params.n_steps()):
             pos = advance_positions(pos, params.L, grid.x_min, grid.length,
-                                    scenario.capacity, params.dt, y=y_col)
+                                    scenario.capacity, params.dt, y=y_col,
+                                    speed_law=speed_law)
         pos_out.append(pos)
     pos = np.concatenate(pos_out)
     rho = np.stack([sample_density(pos[j], params.L, grid)
@@ -509,15 +532,18 @@ def _fit_rate(n: np.ndarray, err: np.ndarray) -> float:
 
 def pce_convergence_study(scenario: Scenario, model: str,
                           reference: StatSummary,
-                          n_list=(1, 3, 5, 7, 9)) -> ConvergenceResult:
+                          n_list=(1, 3, 5, 7, 9),
+                          speed_law=micro_speed_Vtilde) -> ConvergenceResult:
     """Squared-L2 distance of the expectation from the MC mean, per node count.
 
     Each run uses the highest expansion order the quadrature resolves
     (K = n - 1); a truncation held fixed while n grows would stall at its
-    truncation bias instead of converging to the Monte Carlo mean.
+    truncation bias instead of converging to the Monte Carlo mean. speed_law
+    is the follow-the-leader law of the micro model.
     """
     grid = scenario.grid
-    runner = run_pce_macro if model == "macro2" else run_pce_micro
+    runner = (run_pce_macro if model == "macro2"
+              else partial(run_pce_micro, speed_law=speed_law))
     l2_rho, l2_h = [], []
     for n in n_list:
         fields = runner(scenario, n_nodes=n, K=n - 1,

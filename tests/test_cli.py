@@ -104,6 +104,18 @@ def test_accident_capacity_requires_size_flag(tmp_path):
                  "--out", str(tmp_path / "y"), "--accident-size", "2"]) == 0
 
 
+@pytest.mark.parametrize("times, bad", [("0.005", "0.005"),
+                                        ("0.05,0.051", "0.051"),
+                                        ("0.05,0.0500000000001", "same step"),
+                                        ("0.5,abc", "abc"),
+                                        ("nan", "nan")])
+def test_output_times_off_the_step_grid_exit_2(tmp_path, capsys, times, bad):
+    sc = write_scenario(tmp_path, params={"dt": 0.01, "T": 1.0})
+    assert main(["simulate", "--scenario", str(sc), "--model", "macro2",
+                 "--times", times, "--out", str(tmp_path / "x")]) == 2
+    assert bad in capsys.readouterr().err
+
+
 def test_compare_identical_models_report_zero_distance(tmp_path):
     sc = write_scenario(tmp_path)
     out = tmp_path / "cmp"
@@ -174,6 +186,61 @@ def test_uq_convergence_writes_decreasing_columns(tmp_path):
     assert [int(r["n"]) for r in rows] == [1, 3, 5, 7, 9]
     l2 = [float(r["l2_rho"]) for r in rows]
     assert l2[0] > l2[-1]
+
+
+MICRO_PARAMS = {"dt": 0.004, "T": 0.4, "N": 400, "L": 1 / 400}
+
+
+def test_uq_mc_honours_micro_speed_law(tmp_path):
+    sc = write_scenario(tmp_path, capacity={"variant": "accident"},
+                        params=MICRO_PARAMS)
+    summaries = {}
+    for law in ("linear", "equilibrium"):
+        out = tmp_path / law
+        assert main(["uq", "mc", "--scenario", str(sc), "--model", "micro",
+                     "--micro-speed", law, "--out", str(out)]) == 0
+        summaries[law] = (out / "mc_summary.csv").read_bytes()
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["micro_speed"] == law
+        assert meta["mc_rows_solved"] == meta["n_samples"] == 4
+    assert summaries["linear"] != summaries["equilibrium"]
+
+
+def test_uq_pce_micro_honours_micro_speed_law(tmp_path):
+    sc = write_scenario(tmp_path, capacity={"variant": "accident"},
+                        params=MICRO_PARAMS)
+    fields = {}
+    for law in ("linear", "equilibrium"):
+        out = tmp_path / law
+        assert main(["uq", "pce", "--scenario", str(sc), "--model", "micro",
+                     "--micro-speed", law, "--out", str(out)]) == 0
+        fields[law] = (out / "pce_expectation_t0.4.csv").read_bytes()
+    assert fields["linear"] != fields["equilibrium"]
+
+
+def test_uq_rejects_inapplicable_or_invalid_flags(tmp_path, capsys):
+    sc = write_scenario(tmp_path, capacity={"variant": "accident"})
+    assert main(["uq", "mc", "--scenario", str(sc), "--accident-size", "2",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "--accident-size" in capsys.readouterr().err
+    assert main(["uq", "mc", "--scenario", str(sc), "--model", "macro2",
+                 "--micro-speed", "equilibrium",
+                 "--out", str(tmp_path / "y")]) == 2
+    assert "--micro-speed" in capsys.readouterr().err
+    assert main(["uq", "mc", "--scenario", str(sc), "--samples", "-1",
+                 "--out", str(tmp_path / "z")]) == 2
+    assert "-1" in capsys.readouterr().err
+
+
+def test_uq_mc_records_distinct_rows_solved(tmp_path):
+    sc = write_scenario(tmp_path, capacity={"variant": "accident"})
+    out = tmp_path / "mc"
+    assert main(["uq", "mc", "--scenario", str(sc), "--model", "macro2",
+                 "--samples", "64", "--seed", "1", "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    # dx = 0.04 resolves 50 accident footprints for Y in [1, 3]
+    assert meta["n_samples"] == 64
+    assert 1 < meta["mc_rows_solved"] <= 50
 
 
 def test_uq_requires_uq_section(tmp_path):

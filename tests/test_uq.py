@@ -1,5 +1,7 @@
 """Accident-size sampling, quadrature, polynomial chaos and Monte Carlo."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,37 @@ def test_monte_carlo_micro_matches_single_run():
     det = micro.run_micro(state, sc.capacity, sc.params, sc.grid, y=y,
                           out_times=(1.0,))[1.0]
     assert np.allclose(stats.rho_mean, det.rho, atol=1e-12)
+
+
+def per_sample_summary(sc, n_samples, seed, run):
+    """Independent one-sample runs of `run`, stacked and summarized."""
+    ys = sample_accident_sizes(AccidentDistribution(1.0, 1.0), n_samples,
+                               seed)
+    T = sc.params.T
+    finals = [run(sc.rho0_field(), sc.h0_field(), sc.capacity, sc.params,
+                  sc.grid, y=y, out_times=(T,))[T] for y in ys]
+    return uq._summarize(sc.grid, np.stack([f.rho for f in finals]),
+                         np.stack([f.h for f in finals]))
+
+
+STAT_FIELDS = ("rho_mean", "rho_median", "rho_q05", "rho_q95",
+               "h_mean", "h_median", "h_q05", "h_q95")
+
+
+@pytest.mark.parametrize("a, run", [(0.0, macro.run_conservative),
+                                    (1.0, macro.run_second_order)])
+def test_deduplicated_macro2_monte_carlo_matches_per_sample_runs(a, run):
+    # 200 samples cover fewer distinct accident footprints than samples, but
+    # more than one 64-row chunk of them (90 here)
+    base = accident_scenario(dx=2e-2, dt=2e-2, N=200, T=1.0)
+    sc = Scenario(grid=base.grid, params=replace(base.params, a=a),
+                  capacity=base.capacity, rho0=base.rho0, h0=base.h0,
+                  uq=base.uq)
+    stats = monte_carlo(sc, "macro2", 200, seed=11)
+    assert 64 < stats.rows_solved < 200
+    want = per_sample_summary(sc, 200, 11, run)
+    for name in STAT_FIELDS:
+        assert np.array_equal(getattr(stats, name), getattr(want, name)), name
 
 
 def test_monte_carlo_rejects_unsupported_model():
