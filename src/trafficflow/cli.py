@@ -78,6 +78,16 @@ def _parse_times(arg, params: ModelParams):
         raise ConfigError(f"--times: not a list of numbers: {arg!r}") from None
 
 
+def _reject_unused_flags(args, scenario: Scenario, models) -> None:
+    """Exit 2 on a flag that none of the selected models would read."""
+    if args.micro_speed != "linear" and "micro" not in models:
+        raise ConfigError("--micro-speed applies to the micro model only")
+    if (args.accident_size is not None
+            and not isinstance(scenario.capacity, AccidentCapacity)):
+        raise ConfigError("--accident-size applies to the accident capacity "
+                          "only")
+
+
 def _write_run(out_dir: Path, fields: dict, meta: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for t, field in sorted(fields.items()):
@@ -97,6 +107,7 @@ def cmd_simulate(args) -> int:
     model = args.model or scenario.model
     if model is None:
         raise ConfigError("no model given (use --model or the scenario key)")
+    _reject_unused_flags(args, scenario, (model,))
     times = _parse_times(args.times, scenario.params)
     fields = run_model(scenario, model, seed=args.seed, y=args.accident_size,
                        out_times=times, micro_speed=args.micro_speed)
@@ -119,6 +130,7 @@ def cmd_compare(args) -> int:
     for m in models:
         if m not in KNOWN_MODELS:
             raise ConfigError(f"unknown model {m!r}")
+    _reject_unused_flags(args, scenario, models)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     T = scenario.params.T
@@ -159,8 +171,7 @@ def cmd_uq(args) -> int:
     if args.accident_size is not None:
         raise ConfigError("--accident-size does not apply to uq commands: "
                           "the accident size is the random input there")
-    if model == "macro2" and args.micro_speed != "linear":
-        raise ConfigError("--micro-speed applies to the micro model only")
+    _reject_unused_flags(args, scenario, (model,))
     speed_law = MICRO_SPEED_LAWS[args.micro_speed]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,7 @@
-"""Shared domain types, model closures and road-capacity functions.
+"""Shared domain types, model closures, road-capacity functions and the
+time-stepping loop.
 
-Everything here is an immutable value type; instances can be shared freely
+Every type here is an immutable value type; instances can be shared freely
 across threads.
 """
 
@@ -127,6 +128,66 @@ class ModelParams:
 
     def n_steps(self) -> int:
         return int(round(self.T / self.dt))
+
+
+# ---------------------------------------------------------------------------
+# Time stepping
+# ---------------------------------------------------------------------------
+
+def _on_step_grid(what: str, t: float, dt: float) -> int:
+    """Step index of time t; a ConfigError naming `what` unless t is a
+    multiple of dt up to 1e-9 steps."""
+    steps = t / dt
+    if not np.isfinite(steps):
+        raise ConfigError(f"{what} {t} is not a finite number")
+    j = int(round(steps))
+    if abs(steps - j) > 1e-9 * max(1, j):
+        raise ConfigError(f"{what} {t} is not a multiple of dt = {dt}")
+    return j
+
+
+def _snap_times(out_times, params: ModelParams) -> dict:
+    """Map output times to step indices, {step: requested time}.
+
+    T and every requested time must lie on the step grid up to rounding, and
+    no two requested times may share a step. The default (0, T/2, T) is
+    built from step indices; its middle snapshot is the step nearest T/2 and
+    keeps the label T/2.
+    """
+    n_steps = _on_step_grid("T =", params.T, params.dt)
+    if out_times is None:
+        # on very short runs the middle step coincides with an end point,
+        # whose label then wins
+        mid = int(round(params.T / 2 / params.dt))
+        return {mid: params.T / 2, 0: 0.0, n_steps: params.T}
+    snapped = {}
+    for t in out_times:
+        j = _on_step_grid("output time", t, params.dt)
+        if not 0 <= j <= n_steps:
+            raise ConfigError(f"output time {t} outside [0, T]")
+        if j in snapped:
+            raise ConfigError(f"output times {snapped[j]} and {t} fall on "
+                              f"the same step {j}")
+        snapped[j] = t
+    return snapped
+
+
+def integrate(state, step, observe, params: ModelParams, out_times=None):
+    """Advance state to params.T; returns {time: observe(state)} at the
+    output times (default 0, T/2, T).
+
+    step(state, j) returns the state after step j (j = 1..n_steps), so
+    per-step random streams can be keyed on j.
+    """
+    out = _snap_times(out_times, params)
+    snapshots = {}
+    if 0 in out:
+        snapshots[out[0]] = observe(state)
+    for j in range(1, params.n_steps() + 1):
+        state = step(state, j)
+        if j in out:
+            snapshots[out[j]] = observe(state)
+    return snapshots
 
 
 # ---------------------------------------------------------------------------

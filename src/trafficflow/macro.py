@@ -19,10 +19,10 @@ from .core import (
     capacity_eval,
     capacity_max,
     headway_H,
+    integrate,
     pressure,
     speed_V,
 )
-from .micro import _snap_times
 
 _RHO_GUARD = 1e-12
 
@@ -77,53 +77,34 @@ def lf_step_first_order(rho: np.ndarray, capacity: CapacitySpec,
     return new
 
 
-def lf_step_second_order(rho: np.ndarray, h: np.ndarray,
-                         capacity: CapacitySpec, params: ModelParams,
-                         grid: Grid1D, y=None, c: np.ndarray | None = None):
-    """Second-order model: LF advection of rho and z = rho*h, then the
-    pressure/relaxation source, then headway recovery h = z/rho."""
-    if c is None:
-        c = capacity_on_grid(capacity, grid, y)
-    lam = params.dt / (2 * grid.dx)
-    cv = c * speed_V(h)
-    z = rho * h
-
-    rho_new = _lf(rho, cv * rho, lam)
-    z_new = _lf(z, cv * z, lam)
-    _check_density(rho_new)
-    if np.any(rho_new <= _RHO_GUARD):
-        cell = int(np.argmin(rho_new))
-        raise NumericalError(f"vanishing density in cell {cell}; cannot "
-                             "recover the headway")
-
-    # Source stage on the post-advection state. Evaluating the source on the
-    # pre-advection state instead excites the odd-even mode that the central
-    # scheme leaves undamped: the averaging step flips the sign of a
-    # checkerboard perturbation, so rho_old/rho_new ratios pump it each step.
-    h_adv = z_new / rho_new
-    cv_adv = c * speed_V(np.maximum(h_adv, 0.0))
-    source = (0.5 * params.gamma * params.eta * rho_new ** 2
-              * (np.roll(cv_adv, -1, axis=-1) - cv_adv) / grid.dx
-              + params.a * rho_new * (headway_H(rho_new) - h_adv))
-    z_new = z_new + params.dt * source
-    return rho_new, z_new / rho_new
+def advection_speed(rho: np.ndarray, z: np.ndarray, c: np.ndarray,
+                    params: ModelParams) -> np.ndarray:
+    """Speed c V(h) of the second-order model in the conservative pair
+    (rho, z), with the headway h = z/rho - p(rho) floored at zero."""
+    return c * speed_V(np.maximum(z / rho - pressure(rho, params), 0.0))
 
 
 def lf_step_conservative(rho: np.ndarray, z: np.ndarray,
                          capacity: CapacitySpec, params: ModelParams,
                          grid: Grid1D, y=None, c: np.ndarray | None = None):
-    """Conservative pair (rho, z) with z = rho*(h + p(rho)); both components
-    advect with speed c V(h), h = z/rho - p(rho). Used by the gPC system."""
+    """Second-order model in the conservative pair (rho, z),
+    z = rho*(h + p(rho)), where the pressure needs no source term: LF
+    advection with speed c V(h), then the relaxation source a rho (H - h) on
+    z, evaluated on the post-advection state (on the pre-advection state it
+    excites the odd-even mode that the central scheme leaves undamped)."""
     if c is None:
         c = capacity_on_grid(capacity, grid, y)
     if np.any(rho <= _RHO_GUARD):
         raise NumericalError("vanishing density in conservative step")
-    h = z / rho - pressure(rho, params)
-    cv = c * speed_V(np.maximum(h, 0.0))
+    cv = advection_speed(rho, z, c, params)
     lam = params.dt / (2 * grid.dx)
     rho_new = _lf(rho, cv * rho, lam)
     z_new = _lf(z, cv * z, lam)
     _check_density(rho_new)
+    if params.a != 0.0:
+        h = z_new / rho_new - pressure(rho_new, params)
+        z_new = z_new + params.dt * params.a * rho_new * (
+            headway_H(rho_new) - h)
     return rho_new, z_new
 
 
@@ -137,54 +118,36 @@ def run_first_order(rho0: np.ndarray, capacity: CapacitySpec,
     """Returns {time: MacroField}; the headway is reported as H(rho)."""
     cfl_check(params, capacity, grid)
     c = capacity_on_grid(capacity, grid, y)
-    out = _snap_times(out_times, params)
-    rho = np.asarray(rho0, dtype=float)
-    fields = {}
-    if 0 in out:
-        fields[out[0]] = MacroField(rho=rho, h=headway_H(rho), grid=grid)
-    for j in range(1, params.n_steps() + 1):
-        rho = lf_step_first_order(rho, capacity, params, grid, c=c)
-        if j in out:
-            fields[out[j]] = MacroField(rho=rho, h=headway_H(rho), grid=grid)
-    return fields
+    return integrate(
+        np.asarray(rho0, dtype=float),
+        lambda rho, j: lf_step_first_order(rho, capacity, params, grid, c=c),
+        lambda rho: MacroField(rho=rho, h=headway_H(rho), grid=grid),
+        params, out_times)
 
 
 def run_second_order(rho0: np.ndarray, h0: np.ndarray, capacity: CapacitySpec,
                      params: ModelParams, grid: Grid1D, y=None,
                      out_times=None):
+    """Returns {time: MacroField}; steps the conservative pair and reports
+    the headway h = z/rho - p(rho), except at t = 0, which reports h0 as
+    given (h rebuilt from z can differ from it in the last bit)."""
     cfl_check(params, capacity, grid)
     c = capacity_on_grid(capacity, grid, y)
-    out = _snap_times(out_times, params)
     rho = np.asarray(rho0, dtype=float)
     h = np.asarray(h0, dtype=float)
-    fields = {}
-    if 0 in out:
-        fields[out[0]] = MacroField(rho=rho, h=h, grid=grid)
-    for j in range(1, params.n_steps() + 1):
-        rho, h = lf_step_second_order(rho, h, capacity, params, grid, c=c)
-        if j in out:
-            fields[out[j]] = MacroField(rho=rho, h=h, grid=grid)
-    return fields
+    initial = (rho, rho * (h + pressure(rho, params)))
+
+    def observe(state):
+        rho, z = state
+        return MacroField(
+            rho=rho, grid=grid,
+            h=h if state is initial else z / rho - pressure(rho, params))
+
+    return integrate(
+        initial,
+        lambda state, j: lf_step_conservative(*state, capacity, params, grid,
+                                              c=c),
+        observe, params, out_times)
 
 
-def run_conservative(rho0: np.ndarray, h0: np.ndarray, capacity: CapacitySpec,
-                     params: ModelParams, grid: Grid1D, y=None,
-                     out_times=None):
-    """Conservative-form run; headway recovered as z/rho - p(rho)."""
-    cfl_check(params, capacity, grid)
-    c = capacity_on_grid(capacity, grid, y)
-    out = _snap_times(out_times, params)
-    rho = np.asarray(rho0, dtype=float)
-    z = rho * (np.asarray(h0, dtype=float) + pressure(rho, params))
-    fields = {}
-
-    def snapshot():
-        return MacroField(rho=rho, h=z / rho - pressure(rho, params), grid=grid)
-
-    if 0 in out:
-        fields[out[0]] = snapshot()
-    for j in range(1, params.n_steps() + 1):
-        rho, z = lf_step_conservative(rho, z, capacity, params, grid, c=c)
-        if j in out:
-            fields[out[j]] = snapshot()
-    return fields
+run_conservative = run_second_order  # former name of the conservative runner

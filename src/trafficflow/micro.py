@@ -22,6 +22,7 @@ from .core import (
     capacity_eval,
     capacity_max,
     headway_H,
+    integrate,
     micro_speed_Vtilde,
 )
 
@@ -186,44 +187,9 @@ def run_micro(state: MicroState, capacity: CapacitySpec, params: ModelParams,
               grid: Grid1D, y=None, out_times=None,
               speed_law=micro_speed_Vtilde):
     """Integrate to params.T; returns {time: MacroField} at requested times."""
-    out = _snap_times(out_times, params)
-    n_steps = params.n_steps()
-    fields = {}
-    if 0 in out:
-        fields[out[0]] = micro_fields(state, grid)
-    for j in range(1, n_steps + 1):
-        state = micro_step(state, capacity, params.dt, y, speed_law=speed_law)
-        if j in out:
-            fields[out[j]] = micro_fields(state, grid)
-    return fields
-
-
-def _snap_times(out_times, params: ModelParams) -> dict:
-    """Map output times to step indices, {step: requested time}.
-
-    A requested time must lie on the step grid up to rounding, and no two
-    may share a step. The default (0, T/2, T) is built from step indices;
-    its middle snapshot is the step nearest T/2 and keeps the label T/2.
-    """
-    n_steps = params.n_steps()
-    if out_times is None:
-        # on very short runs the middle step coincides with an end point,
-        # whose label then wins
-        mid = int(round(params.T / 2 / params.dt))
-        return {mid: params.T / 2, 0: 0.0, n_steps: params.T}
-    snapped = {}
-    for t in out_times:
-        steps = t / params.dt
-        if not np.isfinite(steps):
-            raise ConfigError(f"output time {t} is not a finite number")
-        j = int(round(steps))
-        if not 0 <= j <= n_steps:
-            raise ConfigError(f"output time {t} outside [0, T]")
-        if abs(steps - j) > 1e-9 * max(1, j):
-            raise ConfigError(f"output time {t} is not a multiple of "
-                              f"dt = {params.dt}")
-        if j in snapped:
-            raise ConfigError(f"output times {snapped[j]} and {t} fall on "
-                              f"the same step {j}")
-        snapped[j] = t
-    return snapped
+    return integrate(
+        state,
+        lambda s, j: micro_step(s, capacity, params.dt, y,
+                                speed_law=speed_law),
+        lambda s: micro_fields(s, grid),
+        params, out_times)

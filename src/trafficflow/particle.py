@@ -25,9 +25,9 @@ from .core import (
     NumericalError,
     capacity_eval,
     headway_H,
+    integrate,
     speed_V,
 )
-from .micro import _snap_times
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,9 @@ def run_particle(ens: ParticleEnsemble, capacity: CapacitySpec,
                  params: ModelParams, grid: Grid1D, seed: int,
                  mode: str = "slow-relaxation", y=None, out_times=None):
     """Step the ensemble to params.T, binning at the requested output times."""
-    out = _snap_times(out_times, params)
-    fields = {}
-    if 0 in out:
-        fields[out[0]] = bin_to_fields(ens, grid)
-    for j in range(1, params.n_steps() + 1):
-        rng = RngStream(seed, j).generator()
-        ens = particle_step(ens, params, capacity, grid, rng, mode, y)
-        if j in out:
-            fields[out[j]] = bin_to_fields(ens, grid)
-    return fields
+    return integrate(
+        ens,
+        lambda e, j: particle_step(e, params, capacity, grid,
+                                   RngStream(seed, j).generator(), mode, y),
+        lambda e: bin_to_fields(e, grid),
+        params, out_times)

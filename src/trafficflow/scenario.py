@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -85,6 +86,8 @@ class Scenario:
 
 
 def _take(mapping: dict, context: str, required: tuple, optional: tuple = ()):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {mapping!r}")
     unknown = set(mapping) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
@@ -93,29 +96,50 @@ def _take(mapping: dict, context: str, required: tuple, optional: tuple = ()):
         raise ConfigError(f"missing key(s) {sorted(missing)} in {context}")
 
 
+def _number(mapping: dict, key: str, context: str, default=None,
+            integer: bool = False):
+    """mapping[key] (default when absent) as a finite float, or an int if
+    `integer`; a ConfigError naming context.key otherwise."""
+    if key not in mapping:
+        return default
+    value = mapping[key]
+    try:  # TypeError for a non-number, OverflowError for a huge integer
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok or (integer and value != int(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{context}.{key} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _parse_profile(entries, context: str) -> PiecewiseProfile:
     if not isinstance(entries, list):
         raise ConfigError(f"{context} must be a list of {{x_lt, value}}")
     thresholds, values = [], []
-    for entry in entries:
-        _take(entry, context, ("x_lt", "value"))
-        thresholds.append(float(entry["x_lt"]))
-        values.append(float(entry["value"]))
+    for i, entry in enumerate(entries):
+        where = f"{context}[{i}]"
+        _take(entry, where, ("x_lt", "value"))
+        thresholds.append(_number(entry, "x_lt", where))
+        values.append(_number(entry, "value", where))
     return PiecewiseProfile(tuple(thresholds), tuple(values))
 
 
 def _parse_capacity(doc: dict) -> CapacitySpec:
-    variant = doc.get("variant")
+    variant = doc.get("variant") if isinstance(doc, dict) else doc
     if variant == "constant":
         _take(doc, "capacity", ("variant",), ("c0",))
-        return ConstantCapacity(float(doc.get("c0", 1.0)))
+        return ConstantCapacity(_number(doc, "c0", "capacity", 1.0))
     if variant == "piecewise_ramp":
-        _take(doc, "capacity", ("variant", "c_low", "x_left", "x_right", "delta"))
-        return PiecewiseRampCapacity(float(doc["c_low"]), float(doc["x_left"]),
-                                     float(doc["x_right"]), float(doc["delta"]))
+        _take(doc, "capacity", ("variant", "c_low", "x_left", "x_right",
+                                "delta"))
+        return PiecewiseRampCapacity(_number(doc, "c_low", "capacity"),
+                                     _number(doc, "x_left", "capacity"),
+                                     _number(doc, "x_right", "capacity"),
+                                     _number(doc, "delta", "capacity"))
     if variant == "accident":
         _take(doc, "capacity", ("variant",), ("drop",))
-        return AccidentCapacity(float(doc.get("drop", 0.4)))
+        return AccidentCapacity(_number(doc, "drop", "capacity", 0.4))
     raise ConfigError(f"unknown capacity variant {variant!r}")
 
 
@@ -128,12 +152,12 @@ def _parse_uq(doc: dict) -> UQConfig:
     else:
         _take(dist, "uq.distribution", ("name",), ("alpha", "beta"))
         name = dist["name"]
-        alpha = float(dist.get("alpha", 1.0))
-        beta = float(dist.get("beta", 1.0))
+        alpha = _number(dist, "alpha", "uq.distribution", 1.0)
+        beta = _number(dist, "beta", "uq.distribution", 1.0)
     return UQConfig(distribution=name, alpha=alpha, beta=beta,
-                    n_samples=int(doc.get("n_samples", 2000)),
-                    pce_nodes=int(doc.get("pce_nodes", 9)),
-                    pce_order=int(doc.get("pce_order", 0)))
+                    n_samples=_number(doc, "n_samples", "uq", 2000, True),
+                    pce_nodes=_number(doc, "pce_nodes", "uq", 9, True),
+                    pce_order=_number(doc, "pce_order", "uq", 0, True))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -142,7 +166,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     dom = doc["domain"]
     _take(dom, "domain", ("xmin", "xmax", "dx"), ("periodic",))
-    grid = Grid1D(float(dom["xmin"]), float(dom["xmax"]), float(dom["dx"]),
+    grid = Grid1D(_number(dom, "xmin", "domain"),
+                  _number(dom, "xmax", "domain"),
+                  _number(dom, "dx", "domain"),
                   bool(dom.get("periodic", True)))
 
     par = doc["params"]
@@ -150,14 +176,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
           ("gamma", "eta", "epsilon", "a", "dt", "T", "L", "N"))
     defaults = ModelParams()
     params = ModelParams(
-        gamma=float(par.get("gamma", defaults.gamma)),
-        eta=float(par.get("eta", defaults.eta)),
-        epsilon=float(par.get("epsilon", defaults.epsilon)),
-        a=float(par.get("a", defaults.a)),
-        dt=float(par.get("dt", defaults.dt)),
-        T=float(par.get("T", defaults.T)),
-        L=float(par.get("L", defaults.L)),
-        N=int(par.get("N", defaults.N)),
+        gamma=_number(par, "gamma", "params", defaults.gamma),
+        eta=_number(par, "eta", "params", defaults.eta),
+        epsilon=_number(par, "epsilon", "params", defaults.epsilon),
+        a=_number(par, "a", "params", defaults.a),
+        dt=_number(par, "dt", "params", defaults.dt),
+        T=_number(par, "T", "params", defaults.T),
+        L=_number(par, "L", "params", defaults.L),
+        N=_number(par, "N", "params", defaults.N, integer=True),
     )
 
     capacity = _parse_capacity(doc["capacity"])

@@ -22,13 +22,12 @@ from .core import (
     NumericalError,
     capacity_eval,
     headway_H,
+    integrate,
     micro_speed_Vtilde,
     pressure,
-    speed_V,
 )
 from . import macro
 from .micro import (
-    _snap_times,
     advance_positions,
     micro_init_from_density,
     periodic_gaps,
@@ -229,8 +228,7 @@ def pce_macro_step(modes: PceModesMacro, capacity: CapacitySpec,
         node = int(np.argwhere(rho_y <= 1e-12)[0][0])
         raise NumericalError(
             f"non-positive reconstructed density at quadrature node {node}")
-    h_y = z_y / rho_y - pressure(rho_y, params)
-    cv = c_nodes * speed_V(np.maximum(h_y, 0.0))
+    cv = macro.advection_speed(rho_y, z_y, c_nodes, params)
 
     half_w = 0.5 * quad.weights
     f_rho_hat = np.einsum("qc,kq,q->kc", cv * rho_y, phi, half_w)
@@ -333,18 +331,12 @@ def run_pce_macro(scenario: Scenario, n_nodes: int, K: int = 0,
                             quad.y_nodes[:, None])
     modes = pce_macro_init(scenario.rho0_field(), scenario.h0_field(), K,
                            params, grid)
-    out = _snap_times(out_times, params)
-    fields = {}
-    if 0 in out:
-        fields[out[0]] = expectation_from_macro_modes(modes, params, quad,
-                                                      phi)
-    for j in range(1, params.n_steps() + 1):
-        modes = pce_macro_step(modes, scenario.capacity, params, quad, grid,
-                               phi=phi, c_nodes=c_nodes)
-        if j in out:
-            fields[out[j]] = expectation_from_macro_modes(modes, params,
-                                                          quad, phi)
-    return fields
+    return integrate(
+        modes,
+        lambda m, j: pce_macro_step(m, scenario.capacity, params, quad, grid,
+                                    phi=phi, c_nodes=c_nodes),
+        lambda m: expectation_from_macro_modes(m, params, quad, phi),
+        params, out_times)
 
 
 def run_pce_micro(scenario: Scenario, n_nodes: int, K: int = 0,
@@ -355,19 +347,12 @@ def run_pce_micro(scenario: Scenario, n_nodes: int, K: int = 0,
     state = micro_init_from_density(scenario.rho0, params.N, params.L, grid)
     modes = pce_micro_init(state.positions, K, params.L, grid.x_min,
                            grid.length)
-    out = _snap_times(out_times, params)
-    fields = {}
-    if 0 in out:
-        fields[out[0]] = expectation_from_micro_modes(modes, grid, params.L,
-                                                      quad, phi)
-    for j in range(1, params.n_steps() + 1):
-        modes = pce_micro_step(modes, scenario.capacity, params, quad,
-                               phi=phi, speed_law=speed_law)
-        if j in out:
-            fields[out[j]] = expectation_from_micro_modes(modes, grid,
-                                                          params.L, quad,
-                                                          phi)
-    return fields
+    return integrate(
+        modes,
+        lambda m, j: pce_micro_step(m, scenario.capacity, params, quad,
+                                    phi=phi, speed_law=speed_law),
+        lambda m: expectation_from_micro_modes(m, grid, params.L, quad, phi),
+        params, out_times)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +426,10 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
     # size cannot change the results.
     chunk = 64
 
+    def final_state(state, step):
+        return integrate(state, step, lambda s: s, params,
+                         (params.T,))[params.T]
+
     if model == "macro2":
         macro.cfl_check(params, scenario.capacity, grid)
         # The macro solvers see Y only through c(x_i; Y), so samples that
@@ -454,29 +443,16 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
             axis=0, return_inverse=True)
         inverse = inverse.ravel()  # numpy 2.0.0 returns it as a column
         rho0 = scenario.rho0_field()
-        h0 = scenario.h0_field()
-        use_conservative = params.a == 0.0
+        z0 = rho0 * (scenario.h0_field() + pressure(rho0, params))
         rho_out, h_out = [], []
         for lo in range(0, len(c_rows), chunk):
             c = c_rows[lo:lo + chunk]
-            rho = np.tile(rho0, (len(c), 1))
-            if use_conservative:
-                # Same conservative discretization the Galerkin system uses,
-                # so PCE expectations can converge to this reference without
-                # a formulation-offset floor. The splitting form is needed
-                # only when the relaxation source is active.
-                z = rho * (np.tile(h0, (len(c), 1)) + pressure(rho, params))
-                for _ in range(params.n_steps()):
-                    rho, z = macro.lf_step_conservative(
-                        rho, z, scenario.capacity, params, grid, c=c)
-                h = z / rho - pressure(rho, params)
-            else:
-                h = np.tile(h0, (len(c), 1))
-                for _ in range(params.n_steps()):
-                    rho, h = macro.lf_step_second_order(
-                        rho, h, scenario.capacity, params, grid, c=c)
+            rho, z = final_state(
+                (np.tile(rho0, (len(c), 1)), np.tile(z0, (len(c), 1))),
+                lambda state, j: macro.lf_step_conservative(
+                    *state, scenario.capacity, params, grid, c=c))
             rho_out.append(rho)
-            h_out.append(h)
+            h_out.append(z / rho - pressure(rho, params))
         return _summarize(grid, np.concatenate(rho_out)[inverse],
                           np.concatenate(h_out)[inverse],
                           rows_solved=len(c_rows))
@@ -487,12 +463,11 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
     pos_out = []
     for lo in range(0, n_samples, chunk):
         y_col = ys[lo:lo + chunk, None]
-        pos = np.tile(state.positions, (len(y_col), 1))
-        for _ in range(params.n_steps()):
-            pos = advance_positions(pos, params.L, grid.x_min, grid.length,
-                                    scenario.capacity, params.dt, y=y_col,
-                                    speed_law=speed_law)
-        pos_out.append(pos)
+        pos_out.append(final_state(
+            np.tile(state.positions, (len(y_col), 1)),
+            lambda pos, j: advance_positions(
+                pos, params.L, grid.x_min, grid.length, scenario.capacity,
+                params.dt, y=y_col, speed_law=speed_law)))
     pos = np.concatenate(pos_out)
     rho = np.stack([sample_density(pos[j], params.L, grid)
                     for j in range(n_samples)])

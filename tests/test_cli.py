@@ -116,6 +116,58 @@ def test_output_times_off_the_step_grid_exit_2(tmp_path, capsys, times, bad):
     assert bad in capsys.readouterr().err
 
 
+def test_horizon_off_the_step_grid_exits_2(tmp_path, capsys):
+    # 1 / 0.03 steps: the last step would end at t = 0.99, not at T
+    sc = write_scenario(tmp_path, params={"dt": 0.03, "T": 1.0})
+    assert main(["simulate", "--scenario", str(sc), "--model", "macro2",
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "T = 1.0" in err and "dt = 0.03" in err
+    assert not (tmp_path / "x").exists()
+
+
+GOOD_PARAMS = {"dt": 0.04, "T": 1.0, "N": 400, "L": 1 / 400}
+GOOD_DOMAIN = {"xmin": -4.0, "xmax": 4.0, "dx": 0.04}
+GOOD_H = [{"x_lt": 4.0, "value": 0.8}]
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"domain": dict(GOOD_DOMAIN, dx=float("nan"))}, "domain.dx"),
+    ({"params": dict(GOOD_PARAMS, T=float("inf"))}, "params.T"),
+    ({"domain": dict(GOOD_DOMAIN, dx="abc")}, "domain.dx"),
+    ({"params": []}, "params"),
+    ({"initial": {"rho": [0.1], "h": GOOD_H}}, "initial.rho[0]"),
+    ({"params": dict(GOOD_PARAMS, N=2.7)}, "params.N"),
+], ids=["nan", "infinity", "string", "params-list", "bare-profile-entry",
+        "fractional-N"])
+def test_malformed_scenario_values_exit_2_and_name_key(tmp_path, capsys,
+                                                       override, key):
+    sc = write_scenario(tmp_path, **override)
+    assert main(["simulate", "--scenario", str(sc), "--model", "macro2",
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--model", "macro2", "--micro-speed", "equilibrium"],
+     "--micro-speed"),
+    (["compare", "--models", "macro1,particle", "--micro-speed",
+      "equilibrium"], "--micro-speed"),
+    (["simulate", "--model", "macro2", "--accident-size", "2"],
+     "--accident-size"),
+    (["compare", "--models", "macro1,micro", "--accident-size", "2"],
+     "--accident-size"),
+])
+def test_simulate_and_compare_reject_unused_flags(tmp_path, capsys, argv,
+                                                  flag):
+    # the scenario has the ramp capacity, which fixes no accident size
+    sc = write_scenario(tmp_path)
+    assert main(argv + ["--scenario", str(sc),
+                        "--out", str(tmp_path / "x")]) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_compare_identical_models_report_zero_distance(tmp_path):
     sc = write_scenario(tmp_path)
     out = tmp_path / "cmp"

@@ -16,9 +16,8 @@ from trafficflow.macro import (
     capacity_on_grid,
     cfl_check,
     cfl_ratio,
+    lf_step_conservative,
     lf_step_first_order,
-    lf_step_second_order,
-    run_conservative,
     run_first_order,
     run_second_order,
     total_mass,
@@ -53,22 +52,23 @@ def test_uniform_state_is_fixed_point_second_order():
     grid = Grid1D(-4.0, 4.0, 0.1)
     params = ModelParams(dt=0.05, a=0.0)
     rho = np.full(grid.n_cells, 0.125)
-    h = np.full(grid.n_cells, 0.8)
-    new_rho, new_h = lf_step_second_order(rho, h, C1, params, grid)
+    z = rho * (0.8 + pressure(rho, params))
+    new_rho, new_z = lf_step_conservative(rho, z, C1, params, grid)
     assert np.allclose(new_rho, rho, atol=1e-14)
-    assert np.allclose(new_h, h, atol=1e-14)
+    assert np.allclose(new_z, z, atol=1e-14)
 
 
 def test_pure_relaxation_increment():
-    # gamma = 0, a = 1, uniform data: one step adds exactly dt (H(rho) - h).
+    # gamma = 0 (so p = 0 and z = rho h), a = 1, uniform data: one step adds
+    # exactly dt (H(rho) - h) to the headway.
     grid = Grid1D(-4.0, 4.0, 0.1)
     dt = 0.05
     params = ModelParams(gamma=0.0, a=1.0, dt=dt)
     rho = np.full(grid.n_cells, 0.25)
     h = np.full(grid.n_cells, 2.0)
-    _, new_h = lf_step_second_order(rho, h, C1, params, grid)
+    new_rho, new_z = lf_step_conservative(rho, rho * h, C1, params, grid)
     expected = 2.0 + dt * (headway_H(0.25) - 2.0)
-    assert np.allclose(new_h, expected, atol=1e-14)
+    assert np.allclose(new_z / new_rho, expected, atol=1e-14)
 
 
 def test_mass_conservation_on_rough_data():
@@ -85,10 +85,10 @@ def test_mass_conservation_on_rough_data():
     assert total_mass(r1, grid) == pytest.approx(m0, rel=1e-12)
     assert np.all(r1 >= 0)  # monotone scheme positivity
 
-    r2, h2 = rho.copy(), h.copy()
     params_a = ModelParams(dt=0.025, a=1.0)
+    r2, z2 = rho.copy(), rho * (h + pressure(rho, params_a))
     for _ in range(200):
-        r2, h2 = lf_step_second_order(r2, h2, C1, params_a, grid)
+        r2, z2 = lf_step_conservative(r2, z2, C1, params_a, grid)
     assert total_mass(r2, grid) == pytest.approx(m0, rel=1e-12)
 
 
@@ -121,17 +121,18 @@ def test_runs_report_requested_snapshots():
     assert set(fields2) == {1.0}
 
 
-def test_conservative_run_tracks_second_order_without_relaxation():
-    sc = paper_comparison_scenario(dx=2e-2, dt=2e-2, T=2.0)
-    params = ModelParams(dt=2e-2, T=2.0, a=0.0)
-    f_split = run_second_order(sc.rho0_field(), sc.h0_field(), sc.capacity,
-                               params, sc.grid, out_times=(2.0,))[2.0]
-    f_cons = run_conservative(sc.rho0_field(), sc.h0_field(), sc.capacity,
-                              params, sc.grid, out_times=(2.0,))[2.0]
-    l1 = np.sum(np.abs(f_split.rho - f_cons.rho)) * sc.grid.dx
-    assert l1 < 1e-2  # same model, different flux formulation
-    m = total_mass(f_cons.rho, sc.grid)
-    assert m == pytest.approx(total_mass(sc.rho0_field(), sc.grid), rel=1e-12)
+def test_second_order_initial_snapshot_is_the_input_bit_for_bit():
+    grid = Grid1D(-4.0, 4.0, 0.1)
+    params = ModelParams(dt=0.05, T=0.1)
+    rng = np.random.default_rng(1)
+    rho = rng.uniform(0.05, 0.5, grid.n_cells)
+    h = rng.uniform(0.5, 2.0, grid.n_cells)
+    # some cells do not round-trip through z = rho (h + p(rho))
+    z = rho * (h + pressure(rho, params))
+    assert not np.array_equal(z / rho - pressure(rho, params), h)
+    f0 = run_second_order(rho, h, C1, params, grid, out_times=(0.0,))[0.0]
+    assert np.array_equal(f0.rho, rho)
+    assert np.array_equal(f0.h, h)
 
 
 def test_grid_refinement_reduces_solution_change():
@@ -154,9 +155,9 @@ def test_second_order_guards_against_vanishing_density():
     grid = Grid1D(0.0, 1.0, 0.25)
     params = ModelParams(dt=0.1)
     rho = np.array([0.0, 0.0, 0.0, 0.0])
-    h = np.ones(4)
+    z = np.ones(4)
     with pytest.raises(NumericalError):
-        lf_step_second_order(rho, h, C1, params, grid)
+        lf_step_conservative(rho, z, C1, params, grid)
 
 
 def test_pressure_enters_conservative_variable():

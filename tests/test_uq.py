@@ -203,7 +203,7 @@ def test_pce_requires_enough_nodes():
 def test_pce_single_node_equals_mean_accident_run():
     sc = accident_scenario(dx=1e-2, dt=1e-2, N=500, T=1.0)
     pce = run_pce_macro(sc, n_nodes=1, K=0, out_times=(1.0,))[1.0]
-    det = macro.run_conservative(sc.rho0_field(), sc.h0_field(), sc.capacity,
+    det = macro.run_second_order(sc.rho0_field(), sc.h0_field(), sc.capacity,
                                  sc.params, sc.grid, y=2.0,
                                  out_times=(1.0,))[1.0]
     assert np.max(np.abs(pce.rho - det.rho)) <= 1e-12
@@ -235,7 +235,7 @@ def test_monte_carlo_degenerate_randomness():
     # capacity independent of Y: every sample is the same run
     sc = with_uq(paper_comparison_scenario(dx=2e-2, dt=2e-2, T=1.0))
     stats = monte_carlo(sc, "macro2", 5, seed=0)
-    det = macro.run_conservative(sc.rho0_field(), sc.h0_field(), sc.capacity,
+    det = macro.run_second_order(sc.rho0_field(), sc.h0_field(), sc.capacity,
                                  sc.params, sc.grid, out_times=(1.0,))[1.0]
     for arr in (stats.rho_median, stats.rho_q05, stats.rho_q95):
         assert np.array_equal(arr, det.rho)
@@ -270,13 +270,14 @@ def test_monte_carlo_micro_matches_single_run():
     assert np.allclose(stats.rho_mean, det.rho, atol=1e-12)
 
 
-def per_sample_summary(sc, n_samples, seed, run):
-    """Independent one-sample runs of `run`, stacked and summarized."""
+def per_sample_summary(sc, n_samples, seed):
+    """Independent one-sample macro2 runs, stacked and summarized."""
     ys = sample_accident_sizes(AccidentDistribution(1.0, 1.0), n_samples,
                                seed)
     T = sc.params.T
-    finals = [run(sc.rho0_field(), sc.h0_field(), sc.capacity, sc.params,
-                  sc.grid, y=y, out_times=(T,))[T] for y in ys]
+    finals = [macro.run_second_order(sc.rho0_field(), sc.h0_field(),
+                                     sc.capacity, sc.params, sc.grid, y=y,
+                                     out_times=(T,))[T] for y in ys]
     return uq._summarize(sc.grid, np.stack([f.rho for f in finals]),
                          np.stack([f.h for f in finals]))
 
@@ -285,9 +286,8 @@ STAT_FIELDS = ("rho_mean", "rho_median", "rho_q05", "rho_q95",
                "h_mean", "h_median", "h_q05", "h_q95")
 
 
-@pytest.mark.parametrize("a, run", [(0.0, macro.run_conservative),
-                                    (1.0, macro.run_second_order)])
-def test_deduplicated_macro2_monte_carlo_matches_per_sample_runs(a, run):
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_deduplicated_macro2_monte_carlo_matches_per_sample_runs(a):
     # 200 samples cover fewer distinct accident footprints than samples, but
     # more than one 64-row chunk of them (90 here)
     base = accident_scenario(dx=2e-2, dt=2e-2, N=200, T=1.0)
@@ -296,7 +296,7 @@ def test_deduplicated_macro2_monte_carlo_matches_per_sample_runs(a, run):
                   uq=base.uq)
     stats = monte_carlo(sc, "macro2", 200, seed=11)
     assert 64 < stats.rows_solved < 200
-    want = per_sample_summary(sc, 200, 11, run)
+    want = per_sample_summary(sc, 200, 11)
     for name in STAT_FIELDS:
         assert np.array_equal(getattr(stats, name), getattr(want, name)), name
 
