@@ -44,7 +44,6 @@ class Grid1D:
     x_min: float
     x_max: float
     dx: float
-    periodic: bool = True
 
     def __post_init__(self):
         if self.dx <= 0:
@@ -76,9 +75,8 @@ class Grid1D:
                                    self.length)
 
     def cell_index(self, x) -> np.ndarray:
-        """Cell containing each (wrapped) position."""
-        xw = self.wrap(x) if self.periodic else np.asarray(x, dtype=float)
-        idx = np.floor((xw - self.x_min) / self.dx).astype(np.int64)
+        """Cell containing each position, wrapped onto the periodic road."""
+        idx = np.floor((self.wrap(x) - self.x_min) / self.dx).astype(np.int64)
         return np.clip(idx, 0, self.n_cells - 1)
 
 
@@ -298,17 +296,19 @@ CapacitySpec = Union[ConstantCapacity, PiecewiseRampCapacity, AccidentCapacity]
 def capacity_eval(spec: CapacitySpec, x, y=None):
     """Evaluate the capacity at (already wrapped) positions x.
 
-    The accident variant needs the half-width y; broadcasting over x and y is
-    supported.
+    The result has the broadcast shape of x and y for every variant, so a y
+    with a leading sample axis gives one row per sample; only the accident
+    variant reads the value of y (its half-width) and requires it.
     """
     x = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(x.shape, np.shape(y))
     if isinstance(spec, ConstantCapacity):
-        return np.full_like(x, spec.c0)
+        return np.full(shape, spec.c0)
     if isinstance(spec, PiecewiseRampCapacity):
         xp = [spec.x_left - spec.delta, spec.x_left + spec.delta,
               spec.x_right - spec.delta, spec.x_right + spec.delta]
         fp = [1.0, spec.c_low, spec.c_low, 1.0]
-        return np.interp(x, xp, fp)
+        return np.broadcast_to(np.interp(x, xp, fp), shape)
     if isinstance(spec, AccidentCapacity):
         if y is None:
             raise ConfigError("accident capacity requires the half-width y")
@@ -330,7 +330,8 @@ def capacity_max(spec: CapacitySpec) -> float:
 
 @dataclass(frozen=True)
 class MacroField:
-    """Density and mean headway sampled at the cell centers of a grid."""
+    """Density and mean headway sampled at the cell centers of a grid; the
+    last axis runs over the cells, any leading axes over samples."""
 
     rho: np.ndarray
     h: np.ndarray
@@ -341,9 +342,9 @@ class MacroField:
         h = np.asarray(self.h, dtype=float)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "h", h)
-        n = self.grid.n_cells
-        if rho.shape != (n,) or h.shape != (n,):
-            raise ConfigError("field arrays must match the grid cell count")
+        if rho.shape != h.shape or rho.shape[-1:] != (self.grid.n_cells,):
+            raise ConfigError("field arrays must share one shape whose last "
+                              "axis matches the grid cell count")
         if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(h))):
             raise NumericalError("non-finite values in macroscopic field")
         # Tolerate rounding-level negatives, reject anything real.

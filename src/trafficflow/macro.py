@@ -1,8 +1,9 @@
 """Lax-Friedrichs solvers for the first- and second-order macroscopic models.
 
-All step functions operate on the last axis, so a leading batch axis (one row
-per Monte Carlo sample) is supported transparently. Periodic boundary
-conditions are baked in via index rolls.
+All step functions operate on the last axis, so a leading batch axis is
+supported transparently; the runners take it from an array of accident sizes
+y, one row per value. Periodic boundary conditions are baked in via index
+rolls.
 """
 
 from __future__ import annotations
@@ -27,24 +28,26 @@ from .core import (
 _RHO_GUARD = 1e-12
 
 
-def cfl_ratio(params: ModelParams, capacity: CapacitySpec, grid: Grid1D,
-              v_max: float = 1.0) -> float:
-    """(dt/dx) * ||c|| * ||V||; must not exceed 1 for stability."""
-    return params.dt / grid.dx * capacity_max(capacity) * v_max
+def cfl_ratio(params: ModelParams, capacity: CapacitySpec,
+              grid: Grid1D) -> float:
+    """(dt/dx) * ||c|| * ||V||, with ||V|| = 1; must not exceed 1 for
+    stability."""
+    return params.dt / grid.dx * capacity_max(capacity)
 
 
-def cfl_check(params: ModelParams, capacity: CapacitySpec, grid: Grid1D,
-              v_max: float = 1.0) -> float:
-    ratio = cfl_ratio(params, capacity, grid, v_max)
+def cfl_check(params: ModelParams, capacity: CapacitySpec,
+              grid: Grid1D) -> float:
+    ratio = cfl_ratio(params, capacity, grid)
     if ratio > 1.0 + 1e-12:
         raise CFLViolationError(ratio)
     return ratio
 
 
 def capacity_on_grid(capacity: CapacitySpec, grid: Grid1D, y=None) -> np.ndarray:
-    """Capacity sampled at cell centers; y may be an array (one row each)."""
-    if y is not None and np.ndim(y) > 0:
-        y = np.asarray(y, dtype=float)[:, None]
+    """Capacity sampled at cell centers, shape np.shape(y) + (n_cells,): a
+    y array gives one row per value."""
+    if y is not None:
+        y = np.asarray(y, dtype=float)[..., None]
     return capacity_eval(capacity, grid.centers, y)
 
 
@@ -102,10 +105,16 @@ def lf_step_conservative(rho: np.ndarray, z: np.ndarray,
     z_new = _lf(z, cv * z, lam)
     _check_density(rho_new)
     if params.a != 0.0:
-        h = z_new / rho_new - pressure(rho_new, params)
-        z_new = z_new + params.dt * params.a * rho_new * (
-            headway_H(rho_new) - h)
+        z_new = z_new + relaxation_source(rho_new, z_new, params)
     return rho_new, z_new
+
+
+def relaxation_source(rho: np.ndarray, z: np.ndarray,
+                      params: ModelParams) -> np.ndarray:
+    """Increment dt a rho (H(rho) - h) of z over one step of the relaxation
+    source, with the headway h = z/rho - p(rho)."""
+    h = z / rho - pressure(rho, params)
+    return params.dt * params.a * rho * (headway_H(rho) - h)
 
 
 def total_mass(rho: np.ndarray, grid: Grid1D) -> float:
@@ -115,11 +124,12 @@ def total_mass(rho: np.ndarray, grid: Grid1D) -> float:
 
 def run_first_order(rho0: np.ndarray, capacity: CapacitySpec,
                     params: ModelParams, grid: Grid1D, y=None, out_times=None):
-    """Returns {time: MacroField}; the headway is reported as H(rho)."""
+    """Returns {time: MacroField}; the headway is reported as H(rho). A y
+    array runs one row per value (fields of shape (len(y), n_cells))."""
     cfl_check(params, capacity, grid)
     c = capacity_on_grid(capacity, grid, y)
     return integrate(
-        np.asarray(rho0, dtype=float),
+        np.broadcast_to(np.asarray(rho0, dtype=float), c.shape),
         lambda rho, j: lf_step_first_order(rho, capacity, params, grid, c=c),
         lambda rho: MacroField(rho=rho, h=headway_H(rho), grid=grid),
         params, out_times)
@@ -130,11 +140,12 @@ def run_second_order(rho0: np.ndarray, h0: np.ndarray, capacity: CapacitySpec,
                      out_times=None):
     """Returns {time: MacroField}; steps the conservative pair and reports
     the headway h = z/rho - p(rho), except at t = 0, which reports h0 as
-    given (h rebuilt from z can differ from it in the last bit)."""
+    given (h rebuilt from z can differ from it in the last bit). A y array
+    runs one row per value (fields of shape (len(y), n_cells))."""
     cfl_check(params, capacity, grid)
     c = capacity_on_grid(capacity, grid, y)
-    rho = np.asarray(rho0, dtype=float)
-    h = np.asarray(h0, dtype=float)
+    rho = np.broadcast_to(np.asarray(rho0, dtype=float), c.shape)
+    h = np.broadcast_to(np.asarray(h0, dtype=float), c.shape)
     initial = (rho, rho * (h + pressure(rho, params)))
 
     def observe(state):

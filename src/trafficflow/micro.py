@@ -57,10 +57,6 @@ class MicroState:
     def gaps(self) -> np.ndarray:
         return periodic_gaps(self.positions, self.road_length)
 
-    def wrapped(self) -> np.ndarray:
-        return self.x_min + np.mod(self.positions - self.x_min,
-                                   self.road_length)
-
 
 def periodic_gaps(positions: np.ndarray, road_length: float) -> np.ndarray:
     """Headways s_i = x_{i+1} - x_i along the last axis, with periodic wrap."""
@@ -112,22 +108,34 @@ def micro_init_from_density(rho0, N: int, L: float, grid: Grid1D) -> MicroState:
                       road_length=grid.length)
 
 
-def advance_positions(positions: np.ndarray, L: float, x_min: float,
-                      road_length: float, capacity: CapacitySpec, dt: float,
-                      y=None, speed_law=micro_speed_Vtilde) -> np.ndarray:
-    """One explicit Euler step on an array of positions (last axis = vehicles).
+def _check_euler_dt(dt: float, capacity: CapacitySpec) -> None:
+    if dt > 1.0 / capacity_max(capacity) + 1e-12:
+        raise ConfigError(
+            f"dt = {dt} exceeds 1 / (||c|| ||Vtilde||) for the Euler step")
 
-    Speeds are evaluated with the pre-step positions; speed_law maps the
-    occupancy ratio L / gap to a speed and is floored at zero so vehicles
-    never reverse.
-    """
+
+def _capacity_and_speed(positions: np.ndarray, L: float, x_min: float,
+                        road_length: float, capacity: CapacitySpec, y,
+                        speed_law):
+    """Capacity c and speed of every vehicle (last axis), whose product is
+    the Euler rate. The speed law maps the occupancy ratio L / gap to a
+    speed and is floored at zero so vehicles never reverse."""
     gaps = periodic_gaps(positions, road_length)
     if np.any(gaps <= 0):
         raise OrderingViolationError(
             f"non-positive gap at index {int(np.argmin(gaps))}")
     wrapped = x_min + np.mod(positions - x_min, road_length)
-    c = capacity_eval(capacity, wrapped, y)
-    speed = np.maximum(speed_law(L / gaps), 0.0)
+    return (capacity_eval(capacity, wrapped, y),
+            np.maximum(speed_law(L / gaps), 0.0))
+
+
+def advance_positions(positions: np.ndarray, L: float, x_min: float,
+                      road_length: float, capacity: CapacitySpec, dt: float,
+                      y=None, speed_law=micro_speed_Vtilde) -> np.ndarray:
+    """One explicit Euler step on an array of positions (last axis = vehicles),
+    with speeds evaluated at the pre-step positions."""
+    c, speed = _capacity_and_speed(positions, L, x_min, road_length,
+                                   capacity, y, speed_law)
     new = positions + dt * c * speed
     new_gaps = periodic_gaps(new, road_length)
     if np.any(new_gaps <= 0):
@@ -138,58 +146,50 @@ def advance_positions(positions: np.ndarray, L: float, x_min: float,
 
 def micro_step(state: MicroState, capacity: CapacitySpec, dt: float,
                y=None, speed_law=micro_speed_Vtilde) -> MicroState:
-    if dt > 1.0 / capacity_max(capacity) + 1e-12:
-        raise ConfigError(
-            f"dt = {dt} exceeds 1 / (||c|| ||Vtilde||) for the Euler step")
+    _check_euler_dt(dt, capacity)
     new = advance_positions(state.positions, state.L, state.x_min,
                             state.road_length, capacity, dt, y,
                             speed_law=speed_law)
     return replace(state, positions=new)
 
 
-def local_density(state: MicroState) -> np.ndarray:
-    """Per-vehicle densities rho_i = L / (x_{i+1} - x_i)."""
-    return state.L / state.gaps()
-
-
-def sample_on_grid(state: MicroState, grid: Grid1D) -> np.ndarray:
-    """Evaluate the piecewise-constant local density at the cell centers."""
-    return sample_density(state.positions, state.L, grid)
-
-
 def sample_density(positions: np.ndarray, L: float, grid: Grid1D) -> np.ndarray:
-    """Piecewise-constant density of a 1-D position array on grid centers."""
-    wrapped = grid.wrap(positions)
-    order = np.argsort(wrapped, kind="stable")
-    xs = wrapped[order]
+    """Piecewise-constant density L / gap of position arrays (last axis =
+    vehicles) at the grid centers; leading axes are kept."""
+    xs = np.sort(grid.wrap(positions), axis=-1, kind="stable")
     gaps = np.empty_like(xs)
-    gaps[:-1] = np.diff(xs)
-    gaps[-1] = xs[0] + grid.length - xs[-1]
+    gaps[..., :-1] = np.diff(xs, axis=-1)
+    gaps[..., -1] = xs[..., 0] + grid.length - xs[..., -1]
     if np.any(gaps <= 0):
         raise NumericalError("coincident vehicle positions in density sampling")
     dens = L / gaps
-    idx = np.searchsorted(xs, grid.centers, side="right") - 1
-    idx[idx < 0] = len(xs) - 1  # centers before the first vehicle wrap around
-    return dens[idx]
+    n = xs.shape[-1]
+    idx = np.stack([np.searchsorted(row, grid.centers, side="right")
+                    for row in xs.reshape(-1, n)])
+    idx = idx.reshape(xs.shape[:-1] + (grid.n_cells,)) - 1
+    idx[idx < 0] = n - 1  # centers before the first vehicle wrap around
+    return np.take_along_axis(dens, idx, axis=-1)
 
 
-def micro_headway_field(state: MicroState, grid: Grid1D) -> np.ndarray:
-    """Headway field computed artificially as H(rho) from the local density."""
-    return headway_H(sample_on_grid(state, grid))
-
-
-def micro_fields(state: MicroState, grid: Grid1D) -> MacroField:
-    rho = sample_on_grid(state, grid)
+def micro_fields(positions: np.ndarray, L: float, grid: Grid1D) -> MacroField:
+    rho = sample_density(positions, L, grid)
     return MacroField(rho=rho, h=headway_H(rho), grid=grid)
 
 
 def run_micro(state: MicroState, capacity: CapacitySpec, params: ModelParams,
               grid: Grid1D, y=None, out_times=None,
               speed_law=micro_speed_Vtilde):
-    """Integrate to params.T; returns {time: MacroField} at requested times."""
+    """Integrate to params.T; returns {time: MacroField} at requested times.
+    A y array runs one row of positions per value (fields of shape
+    (len(y), n_cells))."""
+    _check_euler_dt(params.dt, capacity)
+    shape = np.shape(y) + (state.N,)
+    if y is not None:
+        y = np.asarray(y, dtype=float)[..., None]
     return integrate(
-        state,
-        lambda s, j: micro_step(s, capacity, params.dt, y,
-                                speed_law=speed_law),
-        lambda s: micro_fields(s, grid),
+        np.broadcast_to(state.positions, shape),
+        lambda pos, j: advance_positions(pos, state.L, state.x_min,
+                                         state.road_length, capacity,
+                                         params.dt, y, speed_law=speed_law),
+        lambda pos: micro_fields(pos, state.L, grid),
         params, out_times)

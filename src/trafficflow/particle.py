@@ -2,8 +2,8 @@
 
 Each particle carries a position X and a headway S. Per step, every particle
 advects with speed c(X)V(S); with probability dt it interacts with a partner
-drawn near X + eta, and (in the slow-relaxation mode) with probability
-eps*dt its headway relaxes towards H(rho_local).
+drawn near X + eta, and, when the relaxation strength a is positive, with
+probability eps*dt its headway relaxes towards H(rho_local).
 
 All randomness flows through one generator per step derived from
 (master seed, step index), and updates are vectorized against the pre-step
@@ -121,10 +121,7 @@ def _select_partners(x_wrapped: np.ndarray, targets: np.ndarray,
 
 def particle_step(ens: ParticleEnsemble, params: ModelParams,
                   capacity: CapacitySpec, grid: Grid1D,
-                  rng: np.random.Generator, mode: str = "slow-relaxation",
-                  y=None) -> ParticleEnsemble:
-    if mode not in ("slow-relaxation", "no-relaxation"):
-        raise ConfigError(f"unknown particle mode {mode!r}")
+                  rng: np.random.Generator, y=None) -> ParticleEnsemble:
     dt = params.dt
     if dt > min(1.0, 1.0 / params.epsilon) + 1e-12:
         raise ConfigError("dt must satisfy dt <= min(1, 1/epsilon)")
@@ -148,7 +145,7 @@ def particle_step(ens: ParticleEnsemble, params: ModelParams,
         v_star = c_self[partners] * speed_V(s[partners])
         ds[idx] = params.gamma * (v_star - v_self[idx])
 
-    if mode == "slow-relaxation" and params.a > 0:
+    if params.a > 0:
         xi = xi_u < params.epsilon * dt
         if xi.any():
             field = bin_to_fields(ens, grid)
@@ -164,12 +161,12 @@ def particle_step(ens: ParticleEnsemble, params: ModelParams,
 
 
 def run_particle(ens: ParticleEnsemble, capacity: CapacitySpec,
-                 params: ModelParams, grid: Grid1D, seed: int,
-                 mode: str = "slow-relaxation", y=None, out_times=None):
+                 params: ModelParams, grid: Grid1D, seed: int, y=None,
+                 out_times=None):
     """Step the ensemble to params.T, binning at the requested output times."""
     return integrate(
         ens,
         lambda e, j: particle_step(e, params, capacity, grid,
-                                   RngStream(seed, j).generator(), mode, y),
+                                   RngStream(seed, j).generator(), y),
         lambda e: bin_to_fields(e, grid),
         params, out_times)

@@ -166,10 +166,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     dom = doc["domain"]
     _take(dom, "domain", ("xmin", "xmax", "dx"), ("periodic",))
+    if dom.get("periodic", True) is not True:
+        raise ConfigError("domain.periodic must be true (every model runs on "
+                          f"a periodic road), got {dom['periodic']!r}")
     grid = Grid1D(_number(dom, "xmin", "domain"),
                   _number(dom, "xmax", "domain"),
-                  _number(dom, "dx", "domain"),
-                  bool(dom.get("periodic", True)))
+                  _number(dom, "dx", "domain"))
 
     par = doc["params"]
     _take(par, "params", (),

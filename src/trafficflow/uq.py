@@ -20,19 +20,13 @@ from .core import (
     MacroField,
     ModelParams,
     NumericalError,
-    capacity_eval,
     headway_H,
     integrate,
     micro_speed_Vtilde,
     pressure,
 )
-from . import macro
-from .micro import (
-    advance_positions,
-    micro_init_from_density,
-    periodic_gaps,
-    sample_density,
-)
+from . import macro, micro
+from .micro import micro_init_from_density, sample_density
 from .particle import RngStream
 from .scenario import Scenario
 
@@ -73,10 +67,6 @@ class AccidentDistribution:
 
     def mean(self) -> float:
         return Y_LOW + (Y_HIGH - Y_LOW) * self.alpha / (self.alpha + self.beta)
-
-
-def sample_Y(dist: AccidentDistribution, rng: np.random.Generator) -> float:
-    return float(dist.sample(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +119,9 @@ def gauss_legendre(n: int) -> Quadrature:
     return Quadrature(nodes=x[order], weights=w[order], n=n)
 
 
-def legendre_phi(k: int, y) -> np.ndarray:
-    """k-th basis polynomial, orthonormal w.r.t. (1/2) dy on [1, 3]."""
-    return legendre_basis(k, np.asarray(y, dtype=float))[k]
-
-
 def legendre_basis(K: int, y: np.ndarray) -> np.ndarray:
-    """Matrix phi[k, q] = phi_k(y_q) for k = 0..K."""
+    """Matrix phi[k, q] = phi_k(y_q) for k = 0..K, the basis polynomials
+    orthonormal w.r.t. (1/2) dy on [1, 3]."""
     x = np.asarray(y, dtype=float) - 2.0
     out = np.empty((K + 1,) + x.shape)
     p_prev = np.ones_like(x)
@@ -211,7 +197,9 @@ def pce_macro_step(modes: PceModesMacro, capacity: CapacitySpec,
     """One Lax-Friedrichs step of the Galerkin system.
 
     Fluxes are reconstructed at the mapped quadrature nodes y_q (the capacity
-    is evaluated at c(x; y_q) there) and projected back onto the basis.
+    is evaluated at c(x; y_q) there) and projected back onto the basis; so is
+    the relaxation source of the deterministic step, from the node
+    reconstructions of the post-advection modes.
     """
     K = modes.order
     if K + 1 > quad.n:
@@ -219,8 +207,7 @@ def pce_macro_step(modes: PceModesMacro, capacity: CapacitySpec,
     if phi is None:
         phi = legendre_basis(K, quad.y_nodes)
     if c_nodes is None:
-        c_nodes = capacity_eval(capacity, grid.centers,
-                                quad.y_nodes[:, None])  # (n, cells)
+        c_nodes = macro.capacity_on_grid(capacity, grid, quad.y_nodes)
 
     rho_y = np.einsum("kc,kq->qc", modes.rho_hat, phi)
     z_y = np.einsum("kc,kq->qc", modes.z_hat, phi)
@@ -239,6 +226,11 @@ def pce_macro_step(modes: PceModesMacro, capacity: CapacitySpec,
     z_new = macro._lf(modes.z_hat, f_z_hat, lam)
     if not np.all(np.isfinite(rho_new)):
         raise NumericalError("non-finite density modes")
+    if params.a != 0.0:
+        source = macro.relaxation_source(
+            np.einsum("kc,kq->qc", rho_new, phi),
+            np.einsum("kc,kq->qc", z_new, phi), params)
+        z_new = z_new + np.einsum("qc,kq,q->kc", source, phi, half_w)
     return PceModesMacro(rho_hat=rho_new, z_hat=z_new, grid=grid)
 
 
@@ -246,8 +238,9 @@ def pce_micro_step(modes: PceModesMicro, capacity: CapacitySpec,
                    params: ModelParams, quad: Quadrature,
                    phi: np.ndarray | None = None,
                    speed_law=micro_speed_Vtilde) -> PceModesMicro:
-    """Explicit Euler on position modes; speeds reconstructed at the nodes
-    with the follow-the-leader law speed_law, floored at zero."""
+    """Explicit Euler on position modes; the Euler rates are reconstructed
+    at the nodes as in the deterministic step, with the follow-the-leader law
+    speed_law."""
     K = modes.order
     if K + 1 > quad.n:
         raise ConfigError("quadrature must have at least K+1 nodes")
@@ -255,14 +248,11 @@ def pce_micro_step(modes: PceModesMicro, capacity: CapacitySpec,
         phi = legendre_basis(K, quad.y_nodes)
 
     x_y = modes.x_hat @ phi  # (N, n)
-    gaps = periodic_gaps(x_y.T, modes.road_length).T
-    if np.any(gaps <= 0):
-        raise NumericalError("non-positive reconstructed gap at a quadrature "
-                             "node")
-    wrapped = modes.x_min + np.mod(x_y - modes.x_min, modes.road_length)
-    c = capacity_eval(capacity, wrapped, quad.y_nodes[None, :])
-    speed = np.maximum(speed_law(modes.L / gaps), 0.0)
-    rate = c * speed  # (N, n)
+    # one row of vehicles per node: transposed views of the (N, n) layout
+    c, speed = micro._capacity_and_speed(
+        x_y.T, modes.L, modes.x_min, modes.road_length, capacity,
+        quad.y_nodes[:, None], speed_law)
+    rate = c.T * speed.T  # (N, n)
     xdot_hat = np.einsum("nq,kq,q->nk", rate, phi, 0.5 * quad.weights)
     return PceModesMicro(x_hat=modes.x_hat + params.dt * xdot_hat,
                          L=modes.L, x_min=modes.x_min,
@@ -308,14 +298,12 @@ def expectation_from_micro_modes(modes: PceModesMicro, grid: Grid1D,
         return MacroField(rho=rho, h=headway_H(rho), grid=grid)
     if phi is None:
         phi = legendre_basis(modes.order, quad.y_nodes)
-    x_y = modes.x_hat @ phi  # (N, n)
-    half_w = 0.5 * quad.weights
+    rho_y = sample_density((modes.x_hat @ phi).T, L, grid)  # (n, cells)
     rho = np.zeros(grid.n_cells)
     h = np.zeros(grid.n_cells)
-    for q in range(quad.n):
-        rho_q = sample_density(x_y[:, q], L, grid)
-        rho += half_w[q] * rho_q
-        h += half_w[q] * headway_H(rho_q)
+    for w, rho_q in zip(0.5 * quad.weights, rho_y):
+        rho += w * rho_q
+        h += w * headway_H(rho_q)
     return MacroField(rho=rho, h=h, grid=grid)
 
 
@@ -327,8 +315,7 @@ def run_pce_macro(scenario: Scenario, n_nodes: int, K: int = 0,
     macro.cfl_check(params, scenario.capacity, grid)
     quad = gauss_legendre(n_nodes)
     phi = legendre_basis(K, quad.y_nodes)
-    c_nodes = capacity_eval(scenario.capacity, grid.centers,
-                            quad.y_nodes[:, None])
+    c_nodes = macro.capacity_on_grid(scenario.capacity, grid, quad.y_nodes)
     modes = pce_macro_init(scenario.rho0_field(), scenario.h0_field(), K,
                            params, grid)
     return integrate(
@@ -400,7 +387,7 @@ def sample_accident_sizes(dist: AccidentDistribution, n_samples: int,
                           seed: int) -> np.ndarray:
     """One independent substream per sample, so results do not depend on how
     the samples are scheduled."""
-    return np.array([sample_Y(dist, RngStream(seed, j).generator())
+    return np.array([dist.sample(RngStream(seed, j).generator())
                      for j in range(n_samples)])
 
 
@@ -408,9 +395,10 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
                 seed: int = 0,
                 speed_law=micro_speed_Vtilde) -> StatSummary:
     """Per-cell statistics of the chosen model at T over sampled accident
-    sizes. Samples evolve as batches (one row per sample), which is
-    equivalent to independent runs because rows never interact; speed_law
-    is the follow-the-leader law of the micro model."""
+    sizes. Each chunk of samples is one run of the model's runner with an
+    array of accident sizes (one row per sample), which equals independent
+    runs because rows never interact; speed_law is the follow-the-leader law
+    of the micro model."""
     if model not in ("micro", "macro2"):
         raise ConfigError("monte_carlo supports the micro and macro2 models")
     if scenario.uq is None:
@@ -419,59 +407,42 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
         raise ConfigError(f"need at least one sample, got {n_samples}")
     dist = AccidentDistribution(scenario.uq.alpha, scenario.uq.beta)
     ys = sample_accident_sizes(dist, n_samples, seed)
-    params, grid = scenario.params, scenario.grid
+    params, grid, capacity = scenario.params, scenario.grid, scenario.capacity
+    T = params.T
+
+    if model == "macro2":
+        # The macro solver sees Y only through c(x_i; Y), so samples that
+        # cover the same cells give bit-identical rows: run one
+        # representative Y per distinct capacity row and expand the results
+        # afterwards.
+        first, inverse = np.unique(
+            macro.capacity_on_grid(capacity, grid, ys), axis=0,
+            return_index=True, return_inverse=True)[1:]
+        ys, expand = ys[first], inverse.ravel()  # numpy 2.0.0: a column
+        rho0, h0 = scenario.rho0_field(), scenario.h0_field()
+
+        def final(y):
+            return macro.run_second_order(rho0, h0, capacity, params, grid,
+                                          y=y, out_times=(T,))[T]
+    else:
+        # the capacity is evaluated at each vehicle's position, so every
+        # sample is distinct work
+        state = micro_init_from_density(scenario.rho0, params.N, params.L,
+                                        grid)
+        expand = slice(None)
+
+        def final(y):
+            return micro.run_micro(state, capacity, params, grid, y=y,
+                                   out_times=(T,), speed_law=speed_law)[T]
 
     # Rows evolve in chunks small enough to stay cache-resident; rows are
     # independent and every operation is elementwise per row, so the chunk
     # size cannot change the results.
     chunk = 64
-
-    def final_state(state, step):
-        return integrate(state, step, lambda s: s, params,
-                         (params.T,))[params.T]
-
-    if model == "macro2":
-        macro.cfl_check(params, scenario.capacity, grid)
-        # The macro solvers see Y only through c(x_i; Y), so samples that
-        # cover the same cells give bit-identical rows: step each distinct
-        # capacity row once and expand the results afterwards. The capacity
-        # of all samples is a temporary, freed before the stepping starts.
-        c_rows, inverse = np.unique(
-            np.broadcast_to(
-                macro.capacity_on_grid(scenario.capacity, grid, ys),
-                (n_samples, grid.n_cells)),
-            axis=0, return_inverse=True)
-        inverse = inverse.ravel()  # numpy 2.0.0 returns it as a column
-        rho0 = scenario.rho0_field()
-        z0 = rho0 * (scenario.h0_field() + pressure(rho0, params))
-        rho_out, h_out = [], []
-        for lo in range(0, len(c_rows), chunk):
-            c = c_rows[lo:lo + chunk]
-            rho, z = final_state(
-                (np.tile(rho0, (len(c), 1)), np.tile(z0, (len(c), 1))),
-                lambda state, j: macro.lf_step_conservative(
-                    *state, scenario.capacity, params, grid, c=c))
-            rho_out.append(rho)
-            h_out.append(z / rho - pressure(rho, params))
-        return _summarize(grid, np.concatenate(rho_out)[inverse],
-                          np.concatenate(h_out)[inverse],
-                          rows_solved=len(c_rows))
-
-    # micro: batch of position arrays, one row per sample; the capacity is
-    # evaluated at each vehicle's position, so every sample is distinct work
-    state = micro_init_from_density(scenario.rho0, params.N, params.L, grid)
-    pos_out = []
-    for lo in range(0, n_samples, chunk):
-        y_col = ys[lo:lo + chunk, None]
-        pos_out.append(final_state(
-            np.tile(state.positions, (len(y_col), 1)),
-            lambda pos, j: advance_positions(
-                pos, params.L, grid.x_min, grid.length, scenario.capacity,
-                params.dt, y=y_col, speed_law=speed_law)))
-    pos = np.concatenate(pos_out)
-    rho = np.stack([sample_density(pos[j], params.L, grid)
-                    for j in range(n_samples)])
-    return _summarize(grid, rho, headway_H(rho))
+    fields = [final(ys[lo:lo + chunk]) for lo in range(0, len(ys), chunk)]
+    return _summarize(grid, np.concatenate([f.rho for f in fields])[expand],
+                      np.concatenate([f.h for f in fields])[expand],
+                      rows_solved=len(ys))
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,11 @@ GOOD_H = [{"x_lt": 4.0, "value": 0.8}]
     ({"params": []}, "params"),
     ({"initial": {"rho": [0.1], "h": GOOD_H}}, "initial.rho[0]"),
     ({"params": dict(GOOD_PARAMS, N=2.7)}, "params.N"),
+    ({"domain": dict(GOOD_DOMAIN, periodic=False)}, "domain.periodic"),
+    ({"domain": dict(GOOD_DOMAIN, periodic="false")}, "domain.periodic"),
+    ({"domain": dict(GOOD_DOMAIN, periodic=1)}, "domain.periodic"),
 ], ids=["nan", "infinity", "string", "params-list", "bare-profile-entry",
-        "fractional-N"])
+        "fractional-N", "periodic-false", "periodic-string", "periodic-1"])
 def test_malformed_scenario_values_exit_2_and_name_key(tmp_path, capsys,
                                                        override, key):
     sc = write_scenario(tmp_path, **override)

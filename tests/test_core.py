@@ -117,12 +117,16 @@ def test_ramp_capacity_values():
     assert capacity_eval(spec, -2.0) == pytest.approx(0.8)
     assert capacity_eval(spec, -4.0) == 1.0
     assert capacity_eval(spec, 3.0) == 1.0
+    # y adds a leading sample axis, although the ramp does not read it
+    assert capacity_eval(spec, np.zeros(5), y=np.ones((3, 1))).shape == (3, 5)
 
 
 def test_accident_capacity_values():
     spec = AccidentCapacity(0.4)
     assert capacity_eval(spec, 2.5, y=2.0) == 1.0
     assert capacity_eval(spec, 0.0, y=2.0) == pytest.approx(0.6)
+    c = capacity_eval(spec, np.array([0.0, 2.5]), y=np.array([[1.0], [3.0]]))
+    assert np.array_equal(c, [[0.6, 1.0], [0.6, 0.6]])
 
 
 def test_accident_capacity_requires_half_width():
@@ -132,6 +136,8 @@ def test_accident_capacity_requires_half_width():
 
 def test_constant_capacity():
     assert capacity_eval(ConstantCapacity(0.7), 123.0) == 0.7
+    assert capacity_eval(ConstantCapacity(0.7), np.zeros(5),
+                         y=np.ones((3, 1))).shape == (3, 5)
     assert capacity_max(ConstantCapacity(0.7)) == 0.7
 
 
@@ -200,6 +206,16 @@ def test_macro_field_rejects_negative_density():
     grid = Grid1D(0.0, 1.0, 0.5)
     with pytest.raises(NumericalError):
         MacroField(rho=np.array([-0.1, 0.1]), h=np.ones(2), grid=grid)
+
+
+def test_macro_field_takes_leading_axes_and_rejects_shape_mismatch():
+    grid = Grid1D(0.0, 1.0, 0.5)
+    f = MacroField(rho=np.ones((3, 2)), h=np.ones((3, 2)), grid=grid)
+    assert f.rho.shape == f.h.shape == (3, 2)
+    with pytest.raises(ConfigError):
+        MacroField(rho=np.ones((3, 2)), h=np.ones(2), grid=grid)
+    with pytest.raises(ConfigError):
+        MacroField(rho=np.ones(3), h=np.ones(3), grid=grid)
 
 
 def test_macro_field_clips_roundoff_negatives():

@@ -8,18 +8,17 @@ from trafficflow.core import (
     ConstantCapacity,
     Grid1D,
     ModelParams,
+    headway_H,
     micro_speed_equilibrium,
 )
 from trafficflow.micro import (
     MicroState,
     OrderingViolationError,
-    local_density,
-    micro_headway_field,
     micro_init_from_density,
     micro_step,
     periodic_gaps,
     run_micro,
-    sample_on_grid,
+    sample_density,
 )
 from trafficflow.scenario import PiecewiseProfile, paper_comparison_scenario
 
@@ -37,13 +36,13 @@ def test_init_uniform_density_gives_equispaced_gaps():
 def test_init_step_profile_gaps_and_reconstruction():
     rho0 = PiecewiseProfile((0.0, 4.0), (0.15, 0.1))
     state = micro_init_from_density(rho0, N=10_000, L=1e-4, grid=GRID)
-    x = state.wrapped()[:-1]
+    x = GRID.wrap(state.positions)[:-1]
     gaps = state.gaps()[:-1]
     interior = (np.abs(x) > 0.05) & (np.abs(np.abs(x) - 4.0) > 0.05)
     expected = 1e-4 / rho0(x[interior])
     assert np.allclose(gaps[interior], expected, rtol=1e-6)
 
-    sampled = sample_on_grid(state, GRID)
+    sampled = sample_density(state.positions, state.L, GRID)
     centers_ok = np.abs(GRID.centers) > 0.1
     assert np.allclose(sampled[centers_ok], rho0(GRID.centers)[centers_ok],
                        rtol=2e-2)
@@ -95,12 +94,12 @@ def test_local_density_and_headway_fields():
     L = 1.0
     state = MicroState(positions=np.array([0.0, 2.0]), L=L,
                        x_min=0.0, road_length=4.0)
-    assert np.allclose(local_density(state), 0.5)
+    assert np.allclose(state.L / state.gaps(), 0.5)
 
     grid = Grid1D(-4.0, 4.0, 0.5)
     uniform = micro_init_from_density(PiecewiseProfile.uniform(0.1),
                                       N=800, L=1e-3, grid=grid)
-    h = micro_headway_field(uniform, grid)
+    h = headway_H(sample_density(uniform.positions, uniform.L, grid))
     assert np.allclose(h, 1 / 1.1, rtol=1e-6)
 
 
@@ -114,7 +113,7 @@ def test_periodic_gaps_sum_to_road_length():
 def test_mass_consistency_of_sampled_density():
     state = micro_init_from_density(PiecewiseProfile((0.0, 4.0), (0.15, 0.1)),
                                     N=10_000, L=1e-4, grid=GRID)
-    sampled = sample_on_grid(state, GRID)
+    sampled = sample_density(state.positions, state.L, GRID)
     mass = sampled.sum() * GRID.dx
     assert mass == pytest.approx(state.N * state.L, rel=2e-2)
 

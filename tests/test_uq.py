@@ -24,7 +24,6 @@ from trafficflow.uq import (
     AccidentDistribution,
     gauss_legendre,
     legendre_basis,
-    legendre_phi,
     monte_carlo,
     pce_convergence_study,
     pce_macro_init,
@@ -33,7 +32,6 @@ from trafficflow.uq import (
     pce_micro_step,
     run_pce_macro,
     run_pce_micro,
-    sample_Y,
     sample_accident_sizes,
 )
 
@@ -51,7 +49,7 @@ def with_uq(sc: Scenario, cfg=None) -> Scenario:
 def test_uniform_accident_sizes_have_mean_two():
     rng = np.random.default_rng(0)
     dist = AccidentDistribution(1.0, 1.0)
-    ys = np.array([sample_Y(dist, rng) for _ in range(100_000)])
+    ys = np.array([dist.sample(rng) for _ in range(100_000)])
     assert np.all((ys >= 1.0) & (ys <= 3.0))
     # exact mean 2, variance 1/3: 3-sigma band for the empirical mean
     assert abs(ys.mean() - 2.0) < 3 * np.sqrt(1 / 3 / len(ys))
@@ -60,7 +58,7 @@ def test_uniform_accident_sizes_have_mean_two():
 def test_beta_accident_sizes_have_scaled_beta_mean():
     rng = np.random.default_rng(1)
     dist = AccidentDistribution(5.0, 2.0)
-    ys = np.array([sample_Y(dist, rng) for _ in range(100_000)])
+    ys = np.array([dist.sample(rng) for _ in range(100_000)])
     assert np.all((ys >= 1.0) & (ys <= 3.0))
     mean = 1 + 2 * (5 / 7)
     var = 4 * (5 * 2) / ((5 + 2) ** 2 * (5 + 2 + 1))
@@ -70,7 +68,7 @@ def test_beta_accident_sizes_have_scaled_beta_mean():
 def test_flat_beta_matches_uniform_in_distribution():
     rng = np.random.default_rng(2)
     dist = AccidentDistribution(1.0, 1.0)
-    ys = np.sort([sample_Y(dist, rng) for _ in range(100_000)])
+    ys = np.sort([dist.sample(rng) for _ in range(100_000)])
     # Kolmogorov-Smirnov distance against the exact uniform CDF on [1, 3]
     cdf = (ys - 1.0) / 2.0
     emp = np.arange(1, len(ys) + 1) / len(ys)
@@ -128,8 +126,8 @@ def test_mapped_nodes_cover_accident_interval():
 
 
 def test_legendre_basis_orthonormal():
-    assert legendre_phi(0, 1.7) == 1.0
-    assert legendre_phi(1, 2.0) == 0.0
+    assert legendre_basis(0, 1.7)[0] == 1.0
+    assert legendre_basis(1, 2.0)[1] == 0.0
     q = gauss_legendre(20)
     phi = legendre_basis(6, q.y_nodes)  # (K+1, n)
     gram = np.einsum("iq,jq,q->ij", phi, phi, 0.5 * q.weights)
@@ -214,6 +212,43 @@ def test_pce_single_node_equals_mean_accident_run():
     det_m = micro.run_micro(state, sc.capacity, sc.params, sc.grid, y=2.0,
                             out_times=(1.0,))[1.0]
     assert np.max(np.abs(pce_m.rho - det_m.rho)) <= 1e-12
+
+
+def test_pce_macro_single_node_relaxes_like_mean_accident_run():
+    # with a = 1 the Galerkin step applies the relaxation source of the
+    # deterministic step; one node and K = 0 reproduce it bit for bit
+    base = accident_scenario(dx=1e-2, dt=1e-2, N=500, T=1.0)
+    sc = Scenario(grid=base.grid, params=replace(base.params, a=1.0),
+                  capacity=base.capacity, rho0=base.rho0, h0=base.h0,
+                  uq=base.uq)
+    pce = run_pce_macro(sc, n_nodes=1, K=0, out_times=(1.0,))[1.0]
+    det = macro.run_second_order(sc.rho0_field(), sc.h0_field(), sc.capacity,
+                                 sc.params, sc.grid, y=2.0,
+                                 out_times=(1.0,))[1.0]
+    assert np.array_equal(pce.rho, det.rho)
+    assert np.array_equal(pce.h, det.h)
+
+
+def test_runners_run_one_row_per_accident_size():
+    sc = accident_scenario(dx=2e-2, dt=2e-2, N=200, T=1.0)
+    ys = np.array([1.2, 2.0, 2.9])
+    state = micro.micro_init_from_density(sc.rho0, 200, sc.params.L, sc.grid)
+    runners = {
+        "macro2": lambda y: macro.run_second_order(
+            sc.rho0_field(), sc.h0_field(), sc.capacity, sc.params, sc.grid,
+            y=y),
+        "micro": lambda y: micro.run_micro(state, sc.capacity, sc.params,
+                                           sc.grid, y=y),
+    }
+    for name, run in runners.items():
+        batch = run(ys)
+        for j, y in enumerate(ys):
+            single = run(y)
+            assert set(batch) == set(single) == {0.0, 0.5, 1.0}
+            for t, f in batch.items():
+                assert f.rho.shape == f.h.shape == (3, sc.grid.n_cells)
+                assert np.array_equal(f.rho[j], single[t].rho), (name, t)
+                assert np.array_equal(f.h[j], single[t].h), (name, t)
 
 
 def test_expected_micro_density_example():
