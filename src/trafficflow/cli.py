@@ -78,8 +78,20 @@ def _parse_times(arg, params: ModelParams):
         raise ConfigError(f"--times: not a list of numbers: {arg!r}") from None
 
 
+def _count(value, flag: str, minimum: int, default=None):
+    """The value of an integer flag, or default when it is not given; exit 2
+    naming the flag when it is below minimum."""
+    if value is None:
+        return default
+    if value < minimum:
+        raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
+    return value
+
+
 def _reject_unused_flags(args, scenario: Scenario, models) -> None:
-    """Exit 2 on a flag that none of the selected models would read."""
+    """Exit 2 on a negative --threads or on a flag that none of the selected
+    models would read."""
+    _count(args.threads, "--threads", 0)
     if args.micro_speed != "linear" and "micro" not in models:
         raise ConfigError("--micro-speed applies to the micro model only")
     if (args.accident_size is not None
@@ -173,11 +185,11 @@ def cmd_uq(args) -> int:
                           "the accident size is the random input there")
     _reject_unused_flags(args, scenario, (model,))
     speed_law = MICRO_SPEED_LAWS[args.micro_speed]
+    n_samples = _count(args.samples, "--samples", 1, scenario.uq.n_samples)
+    n_nodes = _count(args.nodes, "--nodes", 1, scenario.uq.pce_nodes)
+    order = _count(args.order, "--order", 0, scenario.uq.pce_order)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_samples = args.samples or scenario.uq.n_samples
-    n_nodes = args.nodes or scenario.uq.pce_nodes
-    order = args.order if args.order is not None else scenario.uq.pce_order
     meta = {
         "mode": args.uq_mode,
         "model": model,

@@ -37,6 +37,24 @@ class CFLViolationError(ConfigError):
 # Grid
 # ---------------------------------------------------------------------------
 
+def _periodic_wrap(x, x_min: float, length: float):
+    """x_min + np.mod(x - x_min, length), bit for bit, in one new array.
+
+    numpy's float remainder is fmod plus the divisor where fmod's sign
+    differs from the (positive) divisor's, so the fmod form below computes
+    the same values in place and about three times faster. The two differ
+    only in the sign of a zero remainder (fmod keeps -0.0, np.mod gives
+    +0.0); adding an x_min that is never -0.0 maps both to the same result.
+    """
+    x = np.asarray(x, dtype=float)
+    x_min = float(x_min) + 0.0  # -0.0 -> +0.0
+    r = np.subtract(x, x_min, out=np.empty(x.shape))
+    np.fmod(r, length, out=r)
+    r[r < 0] += length
+    r += x_min
+    return r if r.ndim else r[()]
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Equispaced 1-D grid of cell centers on [x_min, x_max]."""
@@ -71,8 +89,7 @@ class Grid1D:
 
     def wrap(self, x):
         """Map positions into [x_min, x_max)."""
-        return self.x_min + np.mod(np.asarray(x, dtype=float) - self.x_min,
-                                   self.length)
+        return _periodic_wrap(x, self.x_min, self.length)
 
     def cell_index(self, x) -> np.ndarray:
         """Cell containing each position, wrapped onto the periodic road."""
@@ -175,14 +192,19 @@ def integrate(state, step, observe, params: ModelParams, out_times=None):
     output times (default 0, T/2, T).
 
     step(state, j) returns the state after step j (j = 1..n_steps), so
-    per-step random streams can be keyed on j.
+    per-step random streams can be keyed on j. A NumericalError raised by a
+    step is re-raised with the step index and time in front of its message.
     """
     out = _snap_times(out_times, params)
     snapshots = {}
     if 0 in out:
         snapshots[out[0]] = observe(state)
     for j in range(1, params.n_steps() + 1):
-        state = step(state, j)
+        try:
+            state = step(state, j)
+        except NumericalError as exc:
+            raise type(exc)(
+                f"step {j} (t = {j * params.dt:.6g}): {exc}") from exc
         if j in out:
             snapshots[out[j]] = observe(state)
     return snapshots
@@ -313,7 +335,7 @@ def capacity_eval(spec: CapacitySpec, x, y=None):
         if y is None:
             raise ConfigError("accident capacity requires the half-width y")
         y = np.asarray(y, dtype=float)
-        return 1.0 - spec.drop * (np.abs(x) <= y)
+        return np.where(np.abs(x) <= y, 1.0 - spec.drop, 1.0)
     raise ConfigError(f"unknown capacity spec {spec!r}")
 
 

@@ -19,6 +19,7 @@ from .core import (
     ModelParams,
     NumericalError,
     OrderingViolationError,
+    _periodic_wrap,
     capacity_eval,
     capacity_max,
     headway_H,
@@ -42,9 +43,7 @@ class MicroState:
         if self.L <= 0 or self.road_length <= 0:
             raise ConfigError("vehicle length and road length must be positive")
         gaps = self.gaps()
-        if np.any(gaps <= 0):
-            raise OrderingViolationError(
-                f"non-positive gap at vehicle {int(np.argmin(gaps))}")
+        _check_ordering(gaps, "non-positive gap")
         total = gaps.sum()
         if abs(total - self.road_length) > 1e-9 * self.road_length:
             raise ConfigError(
@@ -58,11 +57,14 @@ class MicroState:
         return periodic_gaps(self.positions, self.road_length)
 
 
-def periodic_gaps(positions: np.ndarray, road_length: float) -> np.ndarray:
-    """Headways s_i = x_{i+1} - x_i along the last axis, with periodic wrap."""
-    nxt = np.roll(positions, -1, axis=-1)
-    nxt[..., -1] += road_length
-    return nxt - positions
+def periodic_gaps(positions: np.ndarray, road_length: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Headways s_i = x_{i+1} - x_i along the last axis, with periodic wrap;
+    written into out when given."""
+    gaps = np.empty(np.shape(positions)) if out is None else out
+    np.subtract(positions[..., 1:], positions[..., :-1], out=gaps[..., :-1])
+    gaps[..., -1] = positions[..., 0] + road_length - positions[..., -1]
+    return gaps
 
 
 def micro_init_from_density(rho0, N: int, L: float, grid: Grid1D) -> MicroState:
@@ -114,33 +116,56 @@ def _check_euler_dt(dt: float, capacity: CapacitySpec) -> None:
             f"dt = {dt} exceeds 1 / (||c|| ||Vtilde||) for the Euler step")
 
 
+def _check_ordering(gaps: np.ndarray, what: str) -> None:
+    """OrderingViolationError naming the sample row (for batches) and the
+    vehicle of the smallest gap, unless every gap is positive."""
+    if gaps.min() <= 0:
+        *rows, vehicle = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+        where = "".join(f"row {int(r)}, " for r in rows)
+        raise OrderingViolationError(f"{what} at {where}vehicle {vehicle}")
+
+
 def _capacity_and_speed(positions: np.ndarray, L: float, x_min: float,
                         road_length: float, capacity: CapacitySpec, y,
-                        speed_law):
+                        speed_law, gaps: np.ndarray | None = None):
     """Capacity c and speed of every vehicle (last axis), whose product is
     the Euler rate. The speed law maps the occupancy ratio L / gap to a
-    speed and is floored at zero so vehicles never reverse."""
-    gaps = periodic_gaps(positions, road_length)
-    if np.any(gaps <= 0):
-        raise OrderingViolationError(
-            f"non-positive gap at index {int(np.argmin(gaps))}")
-    wrapped = x_min + np.mod(positions - x_min, road_length)
-    return (capacity_eval(capacity, wrapped, y),
-            np.maximum(speed_law(L / gaps), 0.0))
+    speed and is floored at zero so vehicles never reverse.
+
+    gaps, if given, holds periodic_gaps(positions) and is overwritten.
+    Nothing else is written to: positions may be a read-only broadcast
+    batch, and c a read-only broadcast view.
+    """
+    if gaps is None:
+        gaps = periodic_gaps(positions, road_length)
+    _check_ordering(gaps, "non-positive gap")
+    c = capacity_eval(capacity, _periodic_wrap(positions, x_min, road_length),
+                      y)
+    speed = speed_law(np.divide(L, gaps, out=gaps))
+    return c, np.maximum(speed, 0.0, out=speed)
 
 
 def advance_positions(positions: np.ndarray, L: float, x_min: float,
                       road_length: float, capacity: CapacitySpec, dt: float,
-                      y=None, speed_law=micro_speed_Vtilde) -> np.ndarray:
+                      y=None, speed_law=micro_speed_Vtilde,
+                      gaps: np.ndarray | None = None) -> np.ndarray:
     """One explicit Euler step on an array of positions (last axis = vehicles),
-    with speeds evaluated at the pre-step positions."""
+    with speeds evaluated at the pre-step positions; returns
+    positions + dt * c * speed, bit for bit, and leaves positions unchanged.
+
+    gaps, if given, must hold periodic_gaps(positions); the step overwrites
+    it with the gaps of the new positions, so a loop that passes the same
+    array every step computes the gaps once per step and allocates none.
+    """
+    if gaps is None:
+        gaps = periodic_gaps(positions, road_length)
     c, speed = _capacity_and_speed(positions, L, x_min, road_length,
-                                   capacity, y, speed_law)
-    new = positions + dt * c * speed
-    new_gaps = periodic_gaps(new, road_length)
-    if np.any(new_gaps <= 0):
-        raise OrderingViolationError(
-            f"vehicle ordering lost at index {int(np.argmin(new_gaps))}")
+                                   capacity, y, speed_law, gaps)
+    new = np.multiply(c, dt)
+    new *= speed
+    new += positions
+    _check_ordering(periodic_gaps(new, road_length, out=gaps),
+                    "vehicle ordering lost")
     return new
 
 
@@ -186,10 +211,13 @@ def run_micro(state: MicroState, capacity: CapacitySpec, params: ModelParams,
     shape = np.shape(y) + (state.N,)
     if y is not None:
         y = np.asarray(y, dtype=float)[..., None]
+    positions = np.broadcast_to(state.positions, shape)
+    gaps = periodic_gaps(positions, state.road_length)  # carried across steps
     return integrate(
-        np.broadcast_to(state.positions, shape),
+        positions,
         lambda pos, j: advance_positions(pos, state.L, state.x_min,
                                          state.road_length, capacity,
-                                         params.dt, y, speed_law=speed_law),
+                                         params.dt, y, speed_law=speed_law,
+                                         gaps=gaps),
         lambda pos: micro_fields(pos, state.L, grid),
         params, out_times)

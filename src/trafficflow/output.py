@@ -17,10 +17,11 @@ def _fmt(x: float) -> str:
 
 
 def _write_rows(path: Path, header: list, columns: list) -> None:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    # repr of the Python floats that tolist() gives is _fmt's text
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def fields_filename(t: float) -> str:

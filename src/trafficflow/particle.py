@@ -23,6 +23,7 @@ from .core import (
     MacroField,
     ModelParams,
     NumericalError,
+    _periodic_wrap,
     capacity_eval,
     headway_H,
     integrate,
@@ -106,7 +107,7 @@ def _select_partners(x_wrapped: np.ndarray, targets: np.ndarray,
     xs = x_wrapped[order]
     n = len(xs)
     # shift targets so the search window never crosses x_min
-    t = x_min + np.mod(targets - x_min, length)
+    t = _periodic_wrap(targets, x_min, length)
     t = np.where(t - half_window < x_min, t + length, t)
     xs2 = np.concatenate([xs, xs + length])
     lo = np.searchsorted(xs2, t - half_window, side="left")

@@ -287,6 +287,23 @@ def test_uq_rejects_inapplicable_or_invalid_flags(tmp_path, capsys):
     assert "-1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["uq", "mc", "--samples", "0"], "--samples"),
+    (["uq", "pce", "--nodes", "0"], "--nodes"),
+    (["uq", "pce", "--order", "-1"], "--order"),
+    (["uq", "mc", "--threads", "-5"], "--threads"),
+    (["simulate", "--model", "macro2", "--threads", "-1"], "--threads"),
+])
+def test_bad_counts_exit_2_and_name_flag(tmp_path, capsys, argv, flag):
+    sc = write_scenario(tmp_path, capacity={"variant": "accident"})
+    if argv[0] == "simulate":
+        argv = argv + ["--accident-size", "2"]
+    assert main(argv + ["--scenario", str(sc),
+                        "--out", str(tmp_path / "x")]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_uq_mc_records_distinct_rows_solved(tmp_path):
     sc = write_scenario(tmp_path, capacity={"variant": "accident"})
     out = tmp_path / "mc"

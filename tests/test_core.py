@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from trafficflow.core import (
     AccidentCapacity,
+    _periodic_wrap,
     ConfigError,
     ConstantCapacity,
     Grid1D,
@@ -186,6 +187,51 @@ def test_grid_wrap_and_cell_index():
     assert grid.wrap(4.5) == pytest.approx(-3.5)
     assert grid.cell_index(-3.999) == 0
     assert grid.cell_index(3.999) == grid.n_cells - 1
+
+
+def _mod_wrap(x, x_min, length):
+    return x_min + np.mod(np.asarray(x, dtype=float) - x_min, length)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+lengths = st.one_of(st.just(8.0), st.floats(min_value=1e-3, max_value=1e3))
+
+
+@given(st.lists(st.one_of(st.floats(min_value=-1e6, max_value=1e6),
+                          st.sampled_from([0.0, -0.0, 1e-300, -1e-300])),
+                min_size=1, max_size=64),
+       st.one_of(st.sampled_from([0.0, -0.0, -4.0]),
+                 st.floats(min_value=-1e3, max_value=1e3)),
+       lengths)
+def test_periodic_wrap_equals_mod_bit_for_bit(xs, x_min, length):
+    x = np.array(xs)
+    got = _periodic_wrap(x, x_min, length)
+    assert _bits(got) == _bits(_mod_wrap(x, x_min, length))
+    assert np.array_equal(x, np.array(xs))  # input untouched
+
+
+@pytest.mark.parametrize("x_min", [0.0, -0.0])
+@given(lengths)
+def test_periodic_wrap_edges_equal_mod_bit_for_bit(x_min, length):
+    # with x_min = +-0 the offset x - x_min is exactly x
+    edges = [0.0, -0.0, 1e-300, -1e-300, 1e6, -1e6]
+    for k in (-3, -2, -1, 1, 2, 3):
+        edges += [k * length, np.nextafter(k * length, np.inf),
+                  np.nextafter(k * length, -np.inf)]
+    x = np.array(edges)
+    assert _bits(_periodic_wrap(x, x_min, length)) == _bits(
+        _mod_wrap(x, x_min, length))
+
+
+@pytest.mark.parametrize("x", [4.5, -12.25, np.float64(8.0), np.array(-4.0)])
+def test_periodic_wrap_takes_scalars_and_0d_arrays(x):
+    got = _periodic_wrap(x, -4.0, 8.0)
+    want = _mod_wrap(x, -4.0, 8.0)
+    assert type(got) is type(want) and np.ndim(got) == 0
+    assert _bits(got) == _bits(want)
 
 
 def test_params_validate_ranges():

@@ -8,12 +8,14 @@ from trafficflow.core import (
     ConstantCapacity,
     Grid1D,
     ModelParams,
+    PiecewiseRampCapacity,
     headway_H,
     micro_speed_equilibrium,
 )
 from trafficflow.micro import (
     MicroState,
     OrderingViolationError,
+    advance_positions,
     micro_init_from_density,
     micro_step,
     periodic_gaps,
@@ -88,6 +90,49 @@ def test_gap_collapse_raises_ordering_violation():
     state = MicroState(positions=positions, L=L, x_min=0.0, road_length=4.0)
     with pytest.raises(OrderingViolationError):
         micro_step(state, C1, 1e-3)
+
+
+def test_ordering_violation_names_row_and_vehicle():
+    # row 1 is the jam of the test above; it collapses at vehicle 0
+    batch = np.array([[0.0, 1.0, 2.0], [0.0, 1.5e-4, 2.5e-4]])
+    with pytest.raises(OrderingViolationError,
+                       match="lost at row 1, vehicle 0$"):
+        advance_positions(batch, 1e-4, 0.0, 4.0, C1, 1e-3)
+
+
+def test_run_micro_ordering_violation_names_step_and_time():
+    state = MicroState(positions=np.array([0.0, 1.5e-4, 2.5e-4]), L=1e-4,
+                       x_min=0.0, road_length=4.0)
+    params = ModelParams(dt=1e-3, T=4e-3, N=3, L=1e-4)
+    with pytest.raises(OrderingViolationError,
+                       match=r"^step 1 \(t = 0.001\): .* row 0, vehicle 0$"):
+        run_micro(state, C1, params, Grid1D(0.0, 4.0, 0.5), y=[1.0, 2.0])
+
+
+def test_step_leaves_read_only_batch_unchanged_and_matches_rows():
+    ramp = PiecewiseRampCapacity(c_low=0.6, x_left=-2.0, x_right=2.0,
+                                 delta=0.1)
+    state = micro_init_from_density(PiecewiseProfile((0.0, 4.0), (0.15, 0.1)),
+                                    N=400, L=1e-3, grid=GRID)
+    args = (state.L, state.x_min, state.road_length, ramp, 0.05)
+    shifted = np.stack([state.positions, state.positions + 13.0])
+    shifted.flags.writeable = False  # the second row needs the wrap
+    for batch in (np.broadcast_to(state.positions, (2, state.N)), shifted):
+        before = batch.copy()
+        new = advance_positions(batch, *args)
+        assert np.array_equal(batch, before)
+        for row, new_row in zip(batch, new):
+            assert np.array_equal(new_row, advance_positions(row, *args))
+
+
+def test_carried_gaps_give_the_same_step_and_the_new_gaps():
+    state = micro_init_from_density(PiecewiseProfile((0.0, 4.0), (0.15, 0.1)),
+                                    N=400, L=1e-3, grid=GRID)
+    args = (state.L, state.x_min, state.road_length, C1, 0.05)
+    gaps = state.gaps()
+    new = advance_positions(state.positions, *args, gaps=gaps)
+    assert np.array_equal(new, advance_positions(state.positions, *args))
+    assert np.array_equal(gaps, periodic_gaps(new, state.road_length))
 
 
 def test_local_density_and_headway_fields():
