@@ -122,6 +122,9 @@ def _parse_profile(entries, context: str) -> PiecewiseProfile:
         _take(entry, where, ("x_lt", "value"))
         thresholds.append(_number(entry, "x_lt", where))
         values.append(_number(entry, "value", where))
+        if values[-1] < 0:  # initial densities and headways
+            raise ConfigError(
+                f"{where}.value must be non-negative, got {values[-1]!r}")
     return PiecewiseProfile(tuple(thresholds), tuple(values))
 
 

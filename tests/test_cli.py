@@ -152,6 +152,21 @@ def test_malformed_scenario_values_exit_2_and_name_key(tmp_path, capsys,
     assert key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("model", ["macro1", "macro2", "micro", "particle"])
+@pytest.mark.parametrize("key", ["rho", "h"])
+def test_negative_initial_value_exits_2_and_names_key(tmp_path, capsys, key,
+                                                      model):
+    sc = write_scenario(tmp_path)
+    doc = json.loads(sc.read_text())
+    doc["initial"][key][1]["value"] = -0.1
+    sc.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(sc), "--model", model,
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"initial.{key}[1].value" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["simulate", "--model", "macro2", "--micro-speed", "equilibrium"],
      "--micro-speed"),

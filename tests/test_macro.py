@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trafficflow.core import (
     CFLViolationError,
@@ -13,6 +15,7 @@ from trafficflow.core import (
     pressure,
 )
 from trafficflow.macro import (
+    _lf,
     capacity_on_grid,
     cfl_check,
     cfl_ratio,
@@ -167,3 +170,34 @@ def test_pressure_enters_conservative_variable():
     z = rho * (h + pressure(rho, params))
     assert z == pytest.approx(0.125 * (1 + 0.0003125))
     assert z / rho - pressure(rho, params) == pytest.approx(h)
+
+
+def _roll_lf(q, flux, lam):
+    q_m, q_p = np.roll(q, 1, axis=-1), np.roll(q, -1, axis=-1)
+    f_m, f_p = np.roll(flux, 1, axis=-1), np.roll(flux, -1, axis=-1)
+    return 0.5 * (q_m + q_p) - lam * (f_p - f_m)
+
+
+@st.composite
+def lf_inputs(draw):
+    """(q, flux) of 1 to 5 cells, 1-D or with 1 to 3 rows; a transposed
+    q is not contiguous along the cells."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    elements = st.floats(-1e6, 1e6)
+    flux = draw(arrays(np.float64, rows + (n,), elements=elements))
+    if rows and draw(st.booleans()):
+        q = draw(arrays(np.float64, (n,) + rows, elements=elements)).T
+    else:
+        q = draw(arrays(np.float64, rows + (n,), elements=elements))
+    return q, flux
+
+
+@given(lf_inputs(), st.floats(0.0, 1.0))
+def test_lf_update_equals_roll_form_bit_for_bit(inputs, lam):
+    q, flux = inputs
+    before = q.copy(), flux.copy()
+    got, want = _lf(q, flux, lam), _roll_lf(q, flux, lam)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(q, before[0]) and np.array_equal(flux, before[1])
