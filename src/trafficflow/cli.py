@@ -89,8 +89,9 @@ def _count(value, flag: str, minimum: int, default=None):
 
 
 def _reject_unused_flags(args, scenario: Scenario, models) -> None:
-    """Exit 2 on a negative --threads or on a flag that none of the selected
-    models would read."""
+    """Exit 2 on a negative --seed or --threads or on a flag that none of
+    the selected models would read."""
+    _count(args.seed, "--seed", 0)
     _count(args.threads, "--threads", 0)
     if args.micro_speed != "linear" and "micro" not in models:
         raise ConfigError("--micro-speed applies to the micro model only")

@@ -45,12 +45,20 @@ def _periodic_wrap(x, x_min: float, length: float):
     the same values in place and about three times faster. The two differ
     only in the sign of a zero remainder (fmod keeps -0.0, np.mod gives
     +0.0); adding an x_min that is never -0.0 maps both to the same result.
+    fmod(r, length) is r itself for r in [0, length), so arrays run fmod
+    only on the offsets outside it (NaN and +-inf included), which are
+    usually few.
     """
     x = np.asarray(x, dtype=float)
     x_min = float(x_min) + 0.0  # -0.0 -> +0.0
     r = np.subtract(x, x_min, out=np.empty(x.shape))
-    np.fmod(r, length, out=r)
-    r[r < 0] += length
+    inside = r >= 0
+    inside &= r < length
+    flat = r.reshape(-1)  # a view: r is a fresh contiguous array
+    bad = np.flatnonzero(~inside)
+    rb = np.fmod(flat[bad], length)
+    rb[rb < 0] += length
+    flat[bad] = rb
     r += x_min
     return r if r.ndim else r[()]
 
@@ -330,7 +338,17 @@ def capacity_eval(spec: CapacitySpec, x, y=None):
         xp = [spec.x_left - spec.delta, spec.x_left + spec.delta,
               spec.x_right - spec.delta, spec.x_right + spec.delta]
         fp = [1.0, spec.c_low, spec.c_low, 1.0]
-        return np.broadcast_to(np.interp(x, xp, fp), shape)
+        # np.interp gives exactly 1.0 beyond the end points and 0 * (x - xp1)
+        # + c_low = c_low + 0.0 strictly inside the flat part; it runs only
+        # on the ramps, the breakpoints themselves and NaN
+        known = x > xp[1]
+        known &= x < xp[2]
+        c = np.where(known, spec.c_low + 0.0, 1.0)
+        known |= x < xp[0]
+        known |= x > xp[3]
+        todo = np.flatnonzero(~known)
+        c.reshape(-1)[todo] = np.interp(x.reshape(-1)[todo], xp, fp)
+        return np.broadcast_to(c, shape)
     if isinstance(spec, AccidentCapacity):
         if y is None:
             raise ConfigError("accident capacity requires the half-width y")

@@ -8,6 +8,9 @@ probability eps*dt its headway relaxes towards H(rho_local).
 All randomness flows through one generator per step derived from
 (master seed, step index), and updates are vectorized against the pre-step
 snapshot, so trajectories are reproducible regardless of worker count.
+Every step takes the same draws in the same order, whatever the branches
+do; the relaxation uniforms, unread when a = 0, are skipped by advancing
+the stream past them rather than drawn.
 """
 
 from __future__ import annotations
@@ -102,6 +105,12 @@ def _select_partners(x_wrapped: np.ndarray, targets: np.ndarray,
     A partner is drawn uniformly among particles within half_window of the
     target (periodic); if that window is empty, the nearest particle ahead of
     the target is used.
+
+    The windows are searched on the sorted positions followed by a second
+    lap, the positions plus length. Only the start of that lap can be
+    reached, so each index is the sum of the searches on the first lap and
+    on the prefix of the second that ends with its first element beyond
+    every query.
     """
     order = np.argsort(x_wrapped, kind="stable")
     xs = x_wrapped[order]
@@ -109,13 +118,24 @@ def _select_partners(x_wrapped: np.ndarray, targets: np.ndarray,
     # shift targets so the search window never crosses x_min
     t = _periodic_wrap(targets, x_min, length)
     t = np.where(t - half_window < x_min, t + length, t)
-    xs2 = np.concatenate([xs, xs + length])
-    lo = np.searchsorted(xs2, t - half_window, side="left")
-    hi = np.searchsorted(xs2, t + half_window, side="right")
+    lo_q, hi_q = t - half_window, t + half_window
+    reach = hi_q.max()
+    k = min(n, int(np.searchsorted(xs, reach - length, side="right")) + 1)
+    # xs + length can round down to reach for positions above reach - length
+    while k < n and xs[k - 1] + length <= reach:
+        k = min(n, 2 * k)
+    lap = xs[:k] + length
+
+    def search(v, side):
+        return (np.searchsorted(xs, v, side=side)
+                + np.searchsorted(lap, v, side=side))
+
+    lo = search(lo_q, "left")
+    hi = search(hi_q, "right")
     count = hi - lo
     pick = lo + np.floor(u * np.maximum(count, 1)).astype(np.int64)
     # empty window: fall back to the nearest particle ahead
-    ahead = np.searchsorted(xs2, t, side="right")
+    ahead = search(t, "right")
     pick = np.where(count > 0, pick, ahead)
     return order[pick % n]
 
@@ -134,7 +154,12 @@ def particle_step(ens: ParticleEnsemble, params: ModelParams,
 
     # fixed draw layout per step keeps the stream independent of branch outcomes
     theta = rng.random(ens.n) < dt
-    xi_u = rng.random(ens.n)
+    if params.a > 0 or not isinstance(rng.bit_generator, np.random.PCG64):
+        xi_u = rng.random(ens.n)
+    else:
+        # the relaxation uniforms are never read; PCG64 spends one output
+        # per float, so advancing by n leaves every later draw unchanged
+        rng.bit_generator.advance(ens.n)
     partner_u = rng.random(ens.n)
 
     ds = np.zeros(ens.n)

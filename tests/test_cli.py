@@ -308,6 +308,11 @@ def test_uq_rejects_inapplicable_or_invalid_flags(tmp_path, capsys):
     (["uq", "pce", "--order", "-1"], "--order"),
     (["uq", "mc", "--threads", "-5"], "--threads"),
     (["simulate", "--model", "macro2", "--threads", "-1"], "--threads"),
+    (["simulate", "--model", "particle", "--seed", "-1"], "--seed"),
+    (["compare", "--models", "particle,macro2", "--seed", "-3"], "--seed"),
+    (["uq", "mc", "--seed", "-1"], "--seed"),
+    (["uq", "pce", "--seed", "-1"], "--seed"),
+    (["uq", "convergence", "--seed", "-2"], "--seed"),
 ])
 def test_bad_counts_exit_2_and_name_flag(tmp_path, capsys, argv, flag):
     sc = write_scenario(tmp_path, capacity={"variant": "accident"})

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from trafficflow.core import (
     AccidentCapacity,
@@ -159,6 +159,49 @@ def test_ramp_capacity_is_lipschitz(x, step):
     assert jump <= (0.4 / 0.1 + 1e-9) * step
 
 
+@st.composite
+def ramps_and_positions(draw):
+    """A valid ramp, its breakpoints and positions around and between them."""
+    c_low = draw(st.one_of(st.sampled_from([0.0, -0.0, 0.6, 1.0]),
+                           st.floats(min_value=0.0, max_value=1.0)))
+    x_left = draw(st.one_of(st.just(-2.0),
+                            st.floats(min_value=-1e6, max_value=1e6)))
+    # a delta below half an ulp of x_left makes xp0 == xp1
+    delta = draw(st.floats(min_value=1e-12, max_value=10.0))
+    x_right = x_left + 2 * delta + draw(st.floats(min_value=1e-9,
+                                                  max_value=100.0))
+    assume(x_right - x_left > 2 * delta)
+    spec = PiecewiseRampCapacity(c_low, x_left, x_right, delta)
+    xp = [x_left - delta, x_left + delta, x_right - delta, x_right + delta]
+    pts = [0.0, -0.0, np.nan, np.inf, -np.inf]
+    for b in xp:
+        pts += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+    fracs = draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                          min_size=1, max_size=8))
+    for lo, hi in zip(xp[:-1], xp[1:]):
+        pts += [lo + f * (hi - lo) for f in fracs]
+    pts += draw(st.lists(st.floats(), max_size=8))
+    return spec, xp, [1.0, c_low, c_low, 1.0], np.array(pts)
+
+
+@given(ramps_and_positions())
+def test_ramp_capacity_equals_interp_bit_for_bit(case):
+    spec, xp, fp, x = case
+    want = np.interp(x, xp, fp)
+    got = capacity_eval(spec, x)
+    assert got.shape == x.shape and _bits(got) == _bits(want)
+    for b in xp:  # scalars take the same path
+        assert _bits(capacity_eval(spec, b)) == _bits(np.interp(b, xp, fp))
+    # a 2-D batch with one y per row, and a y that adds the batch axis
+    x2 = np.stack([x, x[::-1]])
+    got = capacity_eval(spec, x2, y=np.array([[1.0], [2.0]]))
+    assert got.shape == x2.shape
+    assert _bits(got) == _bits(np.interp(x2, xp, fp))
+    got = capacity_eval(spec, x, y=np.ones((3, 1)))
+    assert got.shape == (3, len(x)) and not got.flags.writeable
+    assert _bits(got) == _bits(np.broadcast_to(want, (3, len(x))))
+
+
 def test_ramp_capacity_rejects_overlapping_ramps():
     with pytest.raises(ConfigError):
         PiecewiseRampCapacity(0.6, -0.05, 0.05, 0.1)
@@ -224,6 +267,23 @@ def test_periodic_wrap_edges_equal_mod_bit_for_bit(x_min, length):
     x = np.array(edges)
     assert _bits(_periodic_wrap(x, x_min, length)) == _bits(
         _mod_wrap(x, x_min, length))
+
+
+@given(st.lists(st.one_of(st.floats(),
+                          st.sampled_from([np.nan, np.inf, -np.inf, -0.0])),
+                min_size=1, max_size=32),
+       st.one_of(st.sampled_from([0.0, -0.0, -4.0]),
+                 st.floats(min_value=-1e3, max_value=1e3)),
+       lengths)
+def test_periodic_wrap_2d_nan_and_inf_equal_mod_bit_for_bit(xs, x_min,
+                                                            length):
+    row = np.array(xs + [np.nan, np.inf, -np.inf])
+    x = np.stack([row, row[::-1]])
+    with np.errstate(invalid="ignore"):
+        for arr in (x, x.T):  # contiguous and strided input
+            got = _periodic_wrap(arr, x_min, length)
+            assert got.shape == arr.shape
+            assert _bits(got) == _bits(_mod_wrap(arr, x_min, length))
 
 
 @pytest.mark.parametrize("x", [4.5, -12.25, np.float64(8.0), np.array(-4.0)])

@@ -2,18 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trafficflow.core import (
     ConfigError,
     ConstantCapacity,
     Grid1D,
     ModelParams,
+    _periodic_wrap,
     headway_H,
     speed_V,
 )
 from trafficflow.particle import (
     ParticleEnsemble,
     RngStream,
+    _select_partners,
     bin_to_fields,
     particle_init,
     particle_step,
@@ -147,3 +150,122 @@ def test_particle_step_rejects_large_dt():
     with pytest.raises(ConfigError):
         bad = ModelParams(epsilon=2.0, dt=0.9, T=0.9)
         particle_step(ens, bad, C1, grid, RngStream(0, 0).generator())
+
+
+# ---------------------------------------------------------------------------
+# Partner search and draw layout
+# ---------------------------------------------------------------------------
+
+def _select_partners_concat(x_wrapped, targets, half_window, length, x_min,
+                            u):
+    """Reference partner search on the full 2N concatenation of two laps."""
+    order = np.argsort(x_wrapped, kind="stable")
+    xs = x_wrapped[order]
+    t = _periodic_wrap(targets, x_min, length)
+    t = np.where(t - half_window < x_min, t + length, t)
+    xs2 = np.concatenate([xs, xs + length])
+    lo = np.searchsorted(xs2, t - half_window, side="left")
+    hi = np.searchsorted(xs2, t + half_window, side="right")
+    count = hi - lo
+    pick = lo + np.floor(u * np.maximum(count, 1)).astype(np.int64)
+    ahead = np.searchsorted(xs2, t, side="right")
+    pick = np.where(count > 0, pick, ahead)
+    return order[pick % len(xs)]
+
+
+ROADS = [(-4.0, 4.0), (0.0, 1.0), (0.1, 0.7), (-1e3, 2.5)]
+
+
+@st.composite
+def partner_cases(draw):
+    x_min, x_max = draw(st.sampled_from(ROADS))
+    length = x_max - x_min
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 60)))
+    edges = [x_min, x_max, np.nextafter(x_min, -np.inf),
+             np.nextafter(x_max, np.inf), x_min - 1e-300]
+    offsets = st.floats(min_value=-length, max_value=2 * length)
+    pool = st.one_of(st.sampled_from(edges), offsets.map(lambda r: x_min + r))
+    if draw(st.booleans()):  # many equal positions
+        pool = st.sampled_from(draw(st.lists(pool, min_size=1, max_size=3)))
+    x = _periodic_wrap(np.array(draw(st.lists(pool, min_size=n,
+                                              max_size=n))), x_min, length)
+    if draw(st.booleans()):
+        x = np.sort(x)
+    # windows from empty (sparse roads) to wider than the road
+    half_window = draw(st.one_of(
+        st.sampled_from([1e-9 * length, 0.01 * length, 0.5 * length]),
+        st.floats(min_value=1e-12 * length, max_value=1.5 * length)))
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    eta = draw(st.floats(min_value=0.0, max_value=2 * length))
+    targets = [x[i] + eta for i in idx]
+    targets += draw(st.lists(st.sampled_from(
+        [x_min, x_max, np.nextafter(x_max, -np.inf), x_min + half_window,
+         x_max - half_window, x_max - half_window / 2]), max_size=4))
+    u = draw(st.lists(st.floats(min_value=0.0, max_value=1.0,
+                                exclude_max=True),
+                      min_size=len(targets), max_size=len(targets)))
+    return x, np.array(targets), half_window, length, x_min, np.array(u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partner_cases())
+def test_one_lap_partner_search_equals_concatenation(case):
+    assert np.array_equal(_select_partners(*case),
+                          _select_partners_concat(*case))
+
+
+@pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+def test_one_lap_partner_search_with_many_equal_positions_at_the_lap_end(
+        shift):
+    # hundreds of equal positions whose second-lap copies sit at the edge
+    # of the largest query, so the second-lap prefix must grow past them
+    x_min, length, half_window = -4.0, 8.0, 0.006
+    t = x_min + length - half_window / 2
+    reach = t + half_window
+    # the last position whose second-lap copy is within reach lies above
+    # reach - length, which therefore undercounts the prefix
+    v = reach - length
+    while np.nextafter(v, np.inf) + length <= reach:
+        v = np.nextafter(v, np.inf)
+    assert v > reach - length
+    for _ in range(abs(shift)):
+        v = np.nextafter(v, np.inf if shift > 0 else -np.inf)
+    x = np.concatenate([np.full(300, x_min), np.full(400, v),
+                        np.linspace(x_min, x_min + length, 50,
+                                    endpoint=False)])
+    targets = np.array([t, t, t - half_window, x_min + 1.0])
+    u = np.array([0.0, 0.999, 0.5, 0.25])
+    args = (x, targets, half_window, length, x_min, u)
+    assert np.array_equal(_select_partners(*args),
+                          _select_partners_concat(*args))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_advancing_pcg64_skips_exactly_the_floats_of_random(n):
+    drawn, skipped = RngStream(3, 5).generator(), RngStream(3, 5).generator()
+    drawn.random(4)
+    skipped.random(4)
+    drawn.random(n)
+    skipped.bit_generator.advance(n)
+    assert drawn.bit_generator.state == skipped.bit_generator.state
+    assert np.array_equal(drawn.random(5), skipped.random(5))
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64,
+                                           np.random.MT19937])
+def test_skipped_relaxation_draws_leave_the_step_unchanged(bit_generator):
+    # at epsilon = 1e-300 relaxation never fires, so a = 1 draws the
+    # relaxation uniforms and ignores them while a = 0 skips them
+    sc = paper_comparison_scenario(dx=4e-2, dt=4e-2, N=2000, T=0.4)
+    ens = particle_init(sc.rho0, sc.h0, 2000, sc.grid)
+    runs = []
+    for a in (0.0, 1.0):
+        params = ModelParams(a=a, epsilon=1e-300, dt=0.5, T=1.0, N=2000)
+        e = ens
+        for j in range(3):
+            rng = np.random.Generator(bit_generator([9, j]))
+            e = particle_step(e, params, sc.capacity, sc.grid, rng)
+        runs.append(e)
+    assert np.array_equal(runs[0].x, runs[1].x)
+    assert np.array_equal(runs[0].s, runs[1].s)
+    assert not np.array_equal(runs[0].s, ens.s)  # interactions happened
