@@ -22,6 +22,7 @@ from .core import (
     MacroField,
     ModelParams,
     NumericalError,
+    _snap_times,
     micro_speed_Vtilde,
     micro_speed_equilibrium,
 )
@@ -41,8 +42,9 @@ MICRO_SPEED_LAWS = {
 
 
 def run_model(scenario: Scenario, model: str, seed: int = 0, y=None,
-              out_times=None, micro_speed: str = "linear"):
-    """Run one model on the scenario grid; returns {time: MacroField}."""
+              out_times=None, micro_speed: str = "linear", emit=None):
+    """Run one model on the scenario grid; returns {time: MacroField}, or
+    hands each snapshot to emit as it is observed (see core.integrate)."""
     params, grid, capacity = scenario.params, scenario.grid, scenario.capacity
     if isinstance(capacity, AccidentCapacity) and y is None:
         raise ConfigError("accident capacity requires --accident-size (or a "
@@ -51,31 +53,46 @@ def run_model(scenario: Scenario, model: str, seed: int = 0, y=None,
         raise ConfigError(f"unknown micro speed law {micro_speed!r}")
     if model == "macro1":
         return macro.run_first_order(scenario.rho0_field(), capacity, params,
-                                     grid, y=y, out_times=out_times)
+                                     grid, y=y, out_times=out_times,
+                                     emit=emit)
     if model == "macro2":
         return macro.run_second_order(scenario.rho0_field(),
                                       scenario.h0_field(), capacity, params,
-                                      grid, y=y, out_times=out_times)
+                                      grid, y=y, out_times=out_times,
+                                      emit=emit)
     if model == "micro":
         state = micro.micro_init_from_density(scenario.rho0, params.N,
                                               params.L, grid)
         return micro.run_micro(state, capacity, params, grid, y=y,
                                out_times=out_times,
-                               speed_law=MICRO_SPEED_LAWS[micro_speed])
+                               speed_law=MICRO_SPEED_LAWS[micro_speed],
+                               emit=emit)
     if model == "particle":
         ens = particle_init(scenario.rho0, scenario.h0, params.N, grid)
         return run_particle(ens, capacity, params, grid, seed=seed, y=y,
-                            out_times=out_times)
+                            out_times=out_times, emit=emit)
     raise ConfigError(f"unknown model {model!r}")
 
 
 def _parse_times(arg, params: ModelParams):
+    """The --times values; exit 2 on a time off the step grid, two times on
+    one step, or two times whose snapshot files would share a name (the
+    second would overwrite the first)."""
     if arg is None:
         return None
     try:
-        return tuple(float(v) for v in arg.split(","))
+        times = tuple(float(v) for v in arg.split(","))
     except ValueError:
         raise ConfigError(f"--times: not a list of numbers: {arg!r}") from None
+    _snap_times(times, params)
+    named = {}
+    for t in times:
+        name = output.fields_filename(t)
+        if name in named:
+            raise ConfigError(f"output times {named[name]!r} and {t!r} would "
+                              f"both be written to {name}")
+        named[name] = t
+    return times
 
 
 def _count(value, flag: str, minimum: int, default=None):
@@ -101,17 +118,28 @@ def _reject_unused_flags(args, scenario: Scenario, models) -> None:
                           "only")
 
 
-def _write_run(out_dir: Path, fields: dict, meta: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for t, field in sorted(fields.items()):
-        output.write_fields_csv(out_dir / output.fields_filename(t), field)
-    output.write_metadata(out_dir / "metadata.json", meta)
+def _fields_writer(out_dir: Path, filename):
+    """An emit callback for run_model that writes each snapshot to
+    out_dir / filename(t) the moment it is observed, and the dict in which
+    it keeps only the first and the latest snapshot. out_dir is made by the
+    first write, so a run that fails keeps the snapshots written before the
+    failure, and one that fails before its first snapshot leaves no
+    directory."""
+    kept = {}
+
+    def emit(t, field):
+        if not kept:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            kept["first"] = field
+        output.write_fields_csv(out_dir / filename(t), field)
+        kept["last"] = field
+
+    return emit, kept
 
 
-def _mass_drift(fields: dict, grid) -> float:
-    times = sorted(fields)
-    m0 = macro.total_mass(fields[times[0]].rho, grid)
-    mT = macro.total_mass(fields[times[-1]].rho, grid)
+def _mass_drift(first: MacroField, last: MacroField, grid) -> float:
+    m0 = macro.total_mass(first.rho, grid)
+    mT = macro.total_mass(last.rho, grid)
     return abs(mT - m0) / max(abs(m0), 1e-300)
 
 
@@ -122,8 +150,10 @@ def cmd_simulate(args) -> int:
         raise ConfigError("no model given (use --model or the scenario key)")
     _reject_unused_flags(args, scenario, (model,))
     times = _parse_times(args.times, scenario.params)
-    fields = run_model(scenario, model, seed=args.seed, y=args.accident_size,
-                       out_times=times, micro_speed=args.micro_speed)
+    out_dir = Path(args.out)
+    emit, kept = _fields_writer(out_dir, output.fields_filename)
+    run_model(scenario, model, seed=args.seed, y=args.accident_size,
+              out_times=times, micro_speed=args.micro_speed, emit=emit)
     meta = {
         "model": model,
         "scheme": "lax-friedrichs" if model.startswith("macro") else "euler",
@@ -131,9 +161,10 @@ def cmd_simulate(args) -> int:
         "dt": scenario.params.dt,
         "T": scenario.params.T,
         "seed": args.seed,
-        "mass_drift": _mass_drift(fields, scenario.grid),
+        "mass_drift": _mass_drift(kept["first"], kept["last"],
+                                  scenario.grid),
     }
-    _write_run(Path(args.out), fields, meta)
+    output.write_metadata(out_dir / "metadata.json", meta)
     return EXIT_OK
 
 
@@ -145,17 +176,14 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"unknown model {m!r}")
     _reject_unused_flags(args, scenario, models)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     T = scenario.params.T
     finals = {}
     for m in models:
-        fields = run_model(scenario, m, seed=args.seed,
-                           y=args.accident_size, out_times=(0.0, T),
-                           micro_speed=args.micro_speed)
-        finals[m] = fields[T]
-        for t, field in sorted(fields.items()):
-            output.write_fields_csv(
-                out_dir / f"fields_{m}_t{t:g}.csv", field)
+        emit, kept = _fields_writer(out_dir,
+                                    lambda t: f"fields_{m}_t{t:g}.csv")
+        run_model(scenario, m, seed=args.seed, y=args.accident_size,
+                  out_times=(0.0, T), micro_speed=args.micro_speed, emit=emit)
+        finals[m] = kept["last"]
 
     lines = ["model_a,model_b,l1_rho,l1_rho_rel"]
     for i, a in enumerate(models):

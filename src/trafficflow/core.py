@@ -82,6 +82,9 @@ class Grid1D:
                 f"domain length {self.x_max - self.x_min} is not an integer "
                 f"multiple of dx={self.dx}"
             )
+        if round(n) < 1:
+            raise ConfigError(f"dx={self.dx} leaves no cell on a domain of "
+                              f"length {self.x_max - self.x_min}")
 
     @property
     def n_cells(self) -> int:
@@ -195,18 +198,25 @@ def _snap_times(out_times, params: ModelParams) -> dict:
     return snapped
 
 
-def integrate(state, step, observe, params: ModelParams, out_times=None):
+def integrate(state, step, observe, params: ModelParams, out_times=None,
+              emit=None):
     """Advance state to params.T; returns {time: observe(state)} at the
     output times (default 0, T/2, T).
 
     step(state, j) returns the state after step j (j = 1..n_steps), so
     per-step random streams can be keyed on j. A NumericalError raised by a
     step is re-raised with the step index and time in front of its message.
+
+    With emit, each snapshot goes to emit(time, snapshot) the moment it is
+    observed, in time order, and none is kept: the returned dict is empty,
+    so memory does not grow with the number of output times.
     """
     out = _snap_times(out_times, params)
     snapshots = {}
+    if emit is None:
+        emit = snapshots.__setitem__
     if 0 in out:
-        snapshots[out[0]] = observe(state)
+        emit(out[0], observe(state))
     for j in range(1, params.n_steps() + 1):
         try:
             state = step(state, j)
@@ -214,7 +224,7 @@ def integrate(state, step, observe, params: ModelParams, out_times=None):
             raise type(exc)(
                 f"step {j} (t = {j * params.dt:.6g}): {exc}") from exc
         if j in out:
-            snapshots[out[j]] = observe(state)
+            emit(out[j], observe(state))
     return snapshots
 
 

@@ -135,22 +135,25 @@ def total_mass(rho: np.ndarray, grid: Grid1D) -> float:
 
 
 def run_first_order(rho0: np.ndarray, capacity: CapacitySpec,
-                    params: ModelParams, grid: Grid1D, y=None, out_times=None):
-    """Returns {time: MacroField}; the headway is reported as H(rho). A y
-    array runs one row per value (fields of shape (len(y), n_cells))."""
+                    params: ModelParams, grid: Grid1D, y=None, out_times=None,
+                    emit=None):
+    """Returns {time: MacroField} (or hands each to emit, see
+    core.integrate); the headway is reported as H(rho). A y array runs one
+    row per value (fields of shape (len(y), n_cells))."""
     cfl_check(params, capacity, grid)
     c = capacity_on_grid(capacity, grid, y)
     return integrate(
         np.broadcast_to(np.asarray(rho0, dtype=float), c.shape),
         lambda rho, j: lf_step_first_order(rho, capacity, params, grid, c=c),
         lambda rho: MacroField(rho=rho, h=headway_H(rho), grid=grid),
-        params, out_times)
+        params, out_times, emit)
 
 
 def run_second_order(rho0: np.ndarray, h0: np.ndarray, capacity: CapacitySpec,
                      params: ModelParams, grid: Grid1D, y=None,
-                     out_times=None):
-    """Returns {time: MacroField}; steps the conservative pair and reports
+                     out_times=None, emit=None):
+    """Returns {time: MacroField} (or hands each to emit, see
+    core.integrate); steps the conservative pair and reports
     the headway h = z/rho - p(rho), except at t = 0, which reports h0 as
     given (h rebuilt from z can differ from it in the last bit). A y array
     runs one row per value (fields of shape (len(y), n_cells))."""
@@ -170,7 +173,7 @@ def run_second_order(rho0: np.ndarray, h0: np.ndarray, capacity: CapacitySpec,
         initial,
         lambda state, j: lf_step_conservative(*state, capacity, params, grid,
                                               c=c),
-        observe, params, out_times)
+        observe, params, out_times, emit)
 
 
 run_conservative = run_second_order  # former name of the conservative runner

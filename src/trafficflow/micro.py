@@ -203,10 +203,10 @@ def micro_fields(positions: np.ndarray, L: float, grid: Grid1D) -> MacroField:
 
 def run_micro(state: MicroState, capacity: CapacitySpec, params: ModelParams,
               grid: Grid1D, y=None, out_times=None,
-              speed_law=micro_speed_Vtilde):
-    """Integrate to params.T; returns {time: MacroField} at requested times.
-    A y array runs one row of positions per value (fields of shape
-    (len(y), n_cells))."""
+              speed_law=micro_speed_Vtilde, emit=None):
+    """Integrate to params.T; returns {time: MacroField} at requested times
+    (or hands each to emit, see core.integrate). A y array runs one row of
+    positions per value (fields of shape (len(y), n_cells))."""
     _check_euler_dt(params.dt, capacity)
     shape = np.shape(y) + (state.N,)
     if y is not None:
@@ -220,4 +220,4 @@ def run_micro(state: MicroState, capacity: CapacitySpec, params: ModelParams,
                                          params.dt, y, speed_law=speed_law,
                                          gaps=gaps),
         lambda pos: micro_fields(pos, state.L, grid),
-        params, out_times)
+        params, out_times, emit)

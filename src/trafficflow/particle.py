@@ -188,11 +188,13 @@ def particle_step(ens: ParticleEnsemble, params: ModelParams,
 
 def run_particle(ens: ParticleEnsemble, capacity: CapacitySpec,
                  params: ModelParams, grid: Grid1D, seed: int, y=None,
-                 out_times=None):
-    """Step the ensemble to params.T, binning at the requested output times."""
+                 out_times=None, emit=None):
+    """Step the ensemble to params.T, binning at the requested output times;
+    returns {time: MacroField} (or hands each to emit, see
+    core.integrate)."""
     return integrate(
         ens,
         lambda e, j: particle_step(e, params, capacity, grid,
                                    RngStream(seed, j).generator(), y),
         lambda e: bin_to_fields(e, grid),
-        params, out_times)
+        params, out_times, emit)

@@ -172,9 +172,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if dom.get("periodic", True) is not True:
         raise ConfigError("domain.periodic must be true (every model runs on "
                           f"a periodic road), got {dom['periodic']!r}")
-    grid = Grid1D(_number(dom, "xmin", "domain"),
-                  _number(dom, "xmax", "domain"),
-                  _number(dom, "dx", "domain"))
+    xmin = _number(dom, "xmin", "domain")
+    xmax = _number(dom, "xmax", "domain")
+    dx = _number(dom, "dx", "domain")
+    if 0 < xmax - xmin < dx:
+        raise ConfigError(f"domain.dx = {dx!r} exceeds the domain length "
+                          f"xmax - xmin = {xmax - xmin!r}: no cell fits")
+    grid = Grid1D(xmin, xmax, dx)
 
     par = doc["params"]
     _take(par, "params", (),

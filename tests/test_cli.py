@@ -2,13 +2,18 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from trafficflow.cli import main
+from trafficflow import output
+from trafficflow.cli import main, run_model
 from trafficflow.core import Grid1D
-from trafficflow.output import read_fields_csv
+from trafficflow.macro import total_mass
+from trafficflow.output import (fields_filename, read_fields_csv,
+                                write_fields_csv, write_metadata)
+from trafficflow.scenario import load_scenario
 
 
 def write_scenario(tmp_path, **overrides):
@@ -116,6 +121,18 @@ def test_output_times_off_the_step_grid_exit_2(tmp_path, capsys, times, bad):
     assert bad in capsys.readouterr().err
 
 
+def test_output_times_sharing_a_file_name_exit_2(tmp_path, capsys):
+    # both times are on the step grid, but {t:g} keeps 6 digits, so both
+    # would be written to fields_t0.123456.csv; rejected before any step
+    sc = write_scenario(tmp_path, params={"dt": 1e-7, "T": 0.2})
+    assert main(["simulate", "--scenario", str(sc), "--model", "macro2",
+                 "--times", "0.1234561,0.1234562",
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "0.1234561" in err and "0.1234562" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_horizon_off_the_step_grid_exits_2(tmp_path, capsys):
     # 1 / 0.03 steps: the last step would end at t = 0.99, not at T
     sc = write_scenario(tmp_path, params={"dt": 0.03, "T": 1.0})
@@ -141,8 +158,10 @@ GOOD_H = [{"x_lt": 4.0, "value": 0.8}]
     ({"domain": dict(GOOD_DOMAIN, periodic=False)}, "domain.periodic"),
     ({"domain": dict(GOOD_DOMAIN, periodic="false")}, "domain.periodic"),
     ({"domain": dict(GOOD_DOMAIN, periodic=1)}, "domain.periodic"),
+    ({"domain": dict(GOOD_DOMAIN, dx=1e300)}, "domain.dx"),
 ], ids=["nan", "infinity", "string", "params-list", "bare-profile-entry",
-        "fractional-N", "periodic-false", "periodic-string", "periodic-1"])
+        "fractional-N", "periodic-false", "periodic-string", "periodic-1",
+        "no-cell"])
 def test_malformed_scenario_values_exit_2_and_name_key(tmp_path, capsys,
                                                        override, key):
     sc = write_scenario(tmp_path, **override)
@@ -406,3 +425,88 @@ def test_rerun_reproduces_bytes(tmp_path):
         assert main(["uq", "mc", "--scenario", str(sc), "--model", "micro",
                      "--samples", "3", "--seed", "5", "--out", str(out)]) == 0
     assert byte_contents(out1) == byte_contents(out2)
+
+
+# A ramp scenario on 8000 cells: one snapshot holds 2 x 8000 floats (128 kB).
+STREAM_DOMAIN = {"xmin": -4.0, "xmax": 4.0, "dx": 1e-3}
+STREAM_PARAMS = {"dt": 1e-3, "T": 0.2, "N": 400, "L": 1 / 400}
+
+
+def traced_peak(argv):
+    """Peak bytes traced while main(argv) runs, which must succeed; the grid
+    text cache is cleared first so every run formats its x column."""
+    output._centers_text.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("model", ["macro1", "macro2", "micro", "particle"])
+def test_simulate_memory_does_not_grow_with_snapshot_count(tmp_path, model):
+    sc = write_scenario(tmp_path, domain=STREAM_DOMAIN, params=STREAM_PARAMS)
+    peaks = {}
+    for times in (["0", "0.2"], [f"{k * 0.005:g}" for k in range(41)]):
+        peaks[len(times)] = traced_peak(
+            ["simulate", "--scenario", str(sc), "--model", model,
+             "--times", ",".join(times), "--out", str(tmp_path / model)])
+    snapshot = 2 * 8000 * 8
+    assert peaks[41] - peaks[2] < 2 * snapshot, peaks
+
+
+@pytest.mark.parametrize("model", ["macro1", "macro2", "micro", "particle"])
+def test_streamed_simulate_writes_what_the_runner_returns(tmp_path, model):
+    sc = write_scenario(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(sc), "--model", model,
+                 "--seed", "4", "--out", str(out)]) == 0
+    scenario = load_scenario(sc)
+    fields = run_model(scenario, model, seed=4)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    for t, field in fields.items():
+        write_fields_csv(expected / fields_filename(t), field)
+    times = sorted(fields)
+    m0, mT = (total_mass(fields[t].rho, scenario.grid)
+              for t in (times[0], times[-1]))
+    write_metadata(expected / "metadata.json", {
+        "model": model,
+        "scheme": "lax-friedrichs" if model.startswith("macro") else "euler",
+        "dx": 0.04, "dt": 0.04, "T": 1.0, "seed": 4,
+        "mass_drift": abs(mT - m0) / abs(m0)})
+    assert byte_contents(out) == byte_contents(expected)
+
+
+def test_streamed_compare_writes_what_the_runners_return(tmp_path):
+    sc = write_scenario(tmp_path)
+    out = tmp_path / "cmp"
+    models = ["macro1", "micro", "macro2", "particle"]
+    assert main(["compare", "--scenario", str(sc), "--models",
+                 ",".join(models), "--seed", "4", "--out", str(out)]) == 0
+    scenario = load_scenario(sc)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    for m in models:
+        fields = run_model(scenario, m, seed=4, out_times=(0.0, 1.0))
+        for t, field in fields.items():
+            write_fields_csv(expected / f"fields_{m}_t{t:g}.csv", field)
+    want, got = byte_contents(expected), byte_contents(out)
+    assert set(got) == set(want) | {"l1_distances.csv", "metadata.json"}
+    assert {name: got[name] for name in want} == want
+
+
+def test_numerical_failure_keeps_the_snapshots_already_written(tmp_path,
+                                                               capsys):
+    # rho = 0 on x < 0: the t = 0 snapshot is valid, and the conservative
+    # step 1 stops on the vanishing density
+    sc = write_scenario(tmp_path)
+    doc = json.loads(sc.read_text())
+    doc["initial"]["rho"][0]["value"] = 0.0
+    sc.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(sc), "--model", "macro2",
+                 "--out", str(out)]) == 3
+    assert "step 1" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["fields_t0.csv"]

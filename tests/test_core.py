@@ -223,6 +223,9 @@ def test_grid_centers_and_counts():
 def test_grid_requires_integer_cell_count():
     with pytest.raises(ConfigError):
         Grid1D(0.0, 1.0, 0.3)
+    # 8 / 1e300 rounds to 0 cells within the integer-multiple tolerance
+    with pytest.raises(ConfigError, match="no cell"):
+        Grid1D(-4.0, 4.0, 1e300)
 
 
 def test_grid_wrap_and_cell_index():
