@@ -1,8 +1,11 @@
 """Command-line driver: simulate / compare / uq / analyze.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 I/O error.
-Every run is reproducible from (scenario file, seed). `--threads` is accepted
-but has no effect: every command runs on one thread.
+Every run is reproducible from (scenario file, seed). `--threads` sets the
+number of threads that run the Monte Carlo chunks of `uq mc` and
+`uq convergence` (0, the default, means every CPU); their outputs are
+byte-identical whatever its value. The other commands accept it and ignore
+it.
 """
 
 from __future__ import annotations
@@ -232,7 +235,7 @@ def cmd_uq(args) -> int:
 
     if args.uq_mode == "mc":
         stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed,
-                               speed_law=speed_law)
+                               speed_law=speed_law, threads=args.threads)
         output.write_stats_csv(out_dir / "mc_summary.csv", stats)
         meta.update(n_samples=n_samples, mc_rows_solved=stats.rows_solved)
     elif args.uq_mode == "pce":
@@ -252,7 +255,7 @@ def cmd_uq(args) -> int:
             raise ConfigError("the Galerkin expansion supports the uniform "
                               "distribution only")
         stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed,
-                               speed_law=speed_law)
+                               speed_law=speed_law, threads=args.threads)
         result = uq.pce_convergence_study(scenario, model, stats,
                                           speed_law=speed_law)
         output.write_stats_csv(out_dir / "mc_summary.csv", stats)
@@ -326,8 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=0,
-                       help="accepted but has no effect: every command "
-                            "runs on one thread")
+                       help="Monte Carlo threads of 'uq mc' and 'uq "
+                            "convergence' (0: every CPU); outputs are "
+                            "byte-identical whatever the value; other "
+                            "commands ignore it")
         p.add_argument("--accident-size", type=float, default=None,
                        help="fixed accident half-width Y for deterministic "
                             "runs with the accident capacity")

@@ -63,6 +63,10 @@ def _periodic_wrap(x, x_min: float, length: float):
     return r if r.ndim else r[()]
 
 
+# Largest grid accepted: one field of 10**8 cells already takes 800 MB.
+MAX_CELLS = 10**8
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Equispaced 1-D grid of cell centers on [x_min, x_max]."""
@@ -72,19 +76,24 @@ class Grid1D:
     dx: float
 
     def __post_init__(self):
+        # each message starts with the field it names, so that a scenario
+        # parser can prefix it with the section ("domain.dx = ...")
         if self.dx <= 0:
-            raise ConfigError("dx must be positive")
+            raise ConfigError(f"dx = {self.dx!r} must be positive")
         if self.x_max <= self.x_min:
-            raise ConfigError("x_max must exceed x_min")
-        n = (self.x_max - self.x_min) / self.dx
+            raise ConfigError(f"xmax = {self.x_max!r} must exceed "
+                              f"xmin = {self.x_min!r}")
+        length = self.x_max - self.x_min
+        n = length / self.dx
+        if n > MAX_CELLS:
+            raise ConfigError(f"dx = {self.dx!r} gives {n:.6g} cells, more "
+                              f"than the {MAX_CELLS} allowed")
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
-            raise ConfigError(
-                f"domain length {self.x_max - self.x_min} is not an integer "
-                f"multiple of dx={self.dx}"
-            )
+            raise ConfigError(f"dx = {self.dx!r} does not divide the domain "
+                              f"length {length!r} into whole cells")
         if round(n) < 1:
-            raise ConfigError(f"dx={self.dx} leaves no cell on a domain of "
-                              f"length {self.x_max - self.x_min}")
+            raise ConfigError(f"dx = {self.dx!r} leaves no cell on a domain "
+                              f"of length {length!r}")
 
     @property
     def n_cells(self) -> int:

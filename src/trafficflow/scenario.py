@@ -175,10 +175,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     xmin = _number(dom, "xmin", "domain")
     xmax = _number(dom, "xmax", "domain")
     dx = _number(dom, "dx", "domain")
-    if 0 < xmax - xmin < dx:
-        raise ConfigError(f"domain.dx = {dx!r} exceeds the domain length "
-                          f"xmax - xmin = {xmax - xmin!r}: no cell fits")
-    grid = Grid1D(xmin, xmax, dx)
+    try:
+        grid = Grid1D(xmin, xmax, dx)
+    except ConfigError as exc:  # the message starts with the field's name
+        raise ConfigError(f"domain.{exc}") from None
 
     par = doc["params"]
     _take(par, "params", (),

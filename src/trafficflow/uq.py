@@ -8,6 +8,8 @@ the conservative second-order macro model and the microscopic ODE model.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -391,20 +393,81 @@ def sample_accident_sizes(dist: AccidentDistribution, n_samples: int,
                      for j in range(n_samples)])
 
 
+def pool_size(threads: int, n_chunks: int) -> int:
+    """Threads that map_chunks runs on, the calling thread included:
+    min(threads, n_chunks, CPUs this process may run on), where threads = 0
+    means all of those CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads or cpus, n_chunks, cpus))
+
+
+def map_chunks(fn, n_chunks: int, threads: int = 0) -> list:
+    """[fn(0), ..., fn(n_chunks - 1)], computed on pool_size(threads,
+    n_chunks) threads.
+
+    The calling thread works too: it and size - 1 started threads take the
+    next chunk index from a shared counter, so a pool of size 1 is the
+    plain loop and starts no thread. Once a chunk raises, no further chunk
+    is handed out; after every thread has finished, the exception of the
+    lowest-numbered failed chunk is raised. Chunks are handed out in order,
+    so that is the exception a serial loop would have raised.
+    """
+    size = pool_size(threads, n_chunks)
+    results = [None] * n_chunks
+    failed = {}
+    lock = threading.Lock()
+    counter = iter(range(n_chunks))
+
+    def work():
+        while True:
+            with lock:
+                i = None if failed else next(counter, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:  # raised below, after the joins
+                with lock:
+                    failed[i] = exc
+                return
+
+    workers = [threading.Thread(target=work) for _ in range(size - 1)]
+    for w in workers:
+        w.start()
+    try:
+        work()
+    finally:
+        for w in workers:
+            w.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 def monte_carlo(scenario: Scenario, model: str, n_samples: int,
-                seed: int = 0,
-                speed_law=micro_speed_Vtilde) -> StatSummary:
+                seed: int = 0, speed_law=micro_speed_Vtilde,
+                threads: int = 0) -> StatSummary:
     """Per-cell statistics of the chosen model at T over sampled accident
-    sizes. Each chunk of samples is one run of the model's runner with an
-    array of accident sizes (one row per sample), which equals independent
-    runs because rows never interact; speed_law is the follow-the-leader law
-    of the micro model."""
+    sizes. Each chunk of up to 64 samples is one run of the model's runner
+    with an array of accident sizes (one row per sample), which equals
+    independent runs because rows never interact; speed_law is the
+    follow-the-leader law of the micro model.
+
+    The chunks run on map_chunks's pool of min(threads, chunks, CPUs)
+    threads, the calling thread among them (threads = 0: every CPU), and
+    are put together in chunk order, so the statistics are bit-identical
+    whatever the thread count."""
     if model not in ("micro", "macro2"):
         raise ConfigError("monte_carlo supports the micro and macro2 models")
     if scenario.uq is None:
         raise ConfigError("scenario lacks a uq section")
     if n_samples < 1:
         raise ConfigError(f"need at least one sample, got {n_samples}")
+    if threads < 0:
+        raise ConfigError(f"threads must be at least 0, got {threads}")
     dist = AccidentDistribution(scenario.uq.alpha, scenario.uq.beta)
     ys = sample_accident_sizes(dist, n_samples, seed)
     params, grid, capacity = scenario.params, scenario.grid, scenario.capacity
@@ -439,7 +502,8 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
     # independent and every operation is elementwise per row, so the chunk
     # size cannot change the results.
     chunk = 64
-    fields = [final(ys[lo:lo + chunk]) for lo in range(0, len(ys), chunk)]
+    fields = map_chunks(lambda i: final(ys[i * chunk:(i + 1) * chunk]),
+                        -(-len(ys) // chunk), threads)
     return _summarize(grid, np.concatenate([f.rho for f in fields])[expand],
                       np.concatenate([f.h for f in fields])[expand],
                       rows_solved=len(ys))

@@ -159,9 +159,14 @@ GOOD_H = [{"x_lt": 4.0, "value": 0.8}]
     ({"domain": dict(GOOD_DOMAIN, periodic="false")}, "domain.periodic"),
     ({"domain": dict(GOOD_DOMAIN, periodic=1)}, "domain.periodic"),
     ({"domain": dict(GOOD_DOMAIN, dx=1e300)}, "domain.dx"),
+    # more than 10**8 cells: rejected while parsing, before any array exists
+    ({"domain": dict(GOOD_DOMAIN, dx=1e-300)},
+     "domain.dx = 1e-300 gives 8e+300 cells"),
+    ({"domain": dict(GOOD_DOMAIN, dx=1e-9)},
+     "domain.dx = 1e-09 gives 8e+09 cells"),
 ], ids=["nan", "infinity", "string", "params-list", "bare-profile-entry",
         "fractional-N", "periodic-false", "periodic-string", "periodic-1",
-        "no-cell"])
+        "no-cell", "too-many-cells-1e-300", "too-many-cells-1e-9"])
 def test_malformed_scenario_values_exit_2_and_name_key(tmp_path, capsys,
                                                        override, key):
     sc = write_scenario(tmp_path, **override)
@@ -414,6 +419,57 @@ def test_runs_are_byte_identical_across_thread_counts(tmp_path):
                      "--seed", "3", "--threads", threads,
                      "--out", str(out)]) == 0
     assert byte_contents(out1) == byte_contents(out2)
+
+
+# Acceptance test 13's scenario: 400 cells, 100 steps, 400 vehicles.
+THREADS_DOC = {
+    "domain": {"xmin": -4.0, "xmax": 4.0, "dx": 0.02},
+    "params": {"dt": 0.004, "T": 0.4, "N": 400, "L": 1 / 400},
+    "capacity": {"variant": "accident"},
+    "initial": {
+        "rho": [{"x_lt": 0.0, "value": 0.15}, {"x_lt": 4.0, "value": 0.1}],
+        "h": [{"x_lt": 0.0, "value": 0.8}, {"x_lt": 4.0, "value": 0.95}],
+    },
+    "uq": {"distribution": "uniform"},
+}
+
+
+@pytest.mark.parametrize("mode", ["mc", "convergence"])
+@pytest.mark.parametrize("model", ["micro", "macro2"])
+def test_monte_carlo_on_several_chunks_is_byte_identical_across_threads(
+        tmp_path, mode, model):
+    # 130 samples make 3 chunks of up to 64 rows for micro; macro2 runs one
+    # row per distinct footprint, so it needs more than 64 of them
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps(THREADS_DOC))
+    outputs = []
+    for threads in ("1", "2", "0"):
+        out = tmp_path / f"threads{threads}"
+        assert main(["uq", mode, "--scenario", str(sc), "--model", model,
+                     "--samples", "130", "--seed", "9", "--nodes", "3",
+                     "--threads", threads, "--out", str(out)]) == 0
+        outputs.append(byte_contents(out))
+    meta = json.loads(outputs[0]["metadata.json"])
+    assert meta["mc_rows_solved"] > 64
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_monte_carlo_failure_is_the_serial_one_on_any_thread_count(
+        tmp_path, capsys):
+    # rho = 0 on x < 0 fails at step 1 in every chunk
+    doc = dict(THREADS_DOC, initial=dict(
+        THREADS_DOC["initial"],
+        rho=[{"x_lt": 0.0, "value": 0.0}, {"x_lt": 4.0, "value": 0.1}]))
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps(doc))
+    errs = []
+    for threads in ("1", "2"):
+        assert main(["uq", "mc", "--scenario", str(sc), "--model", "macro2",
+                     "--samples", "130", "--seed", "9", "--threads", threads,
+                     "--out", str(tmp_path / threads)]) == 3
+        errs.append(capsys.readouterr().err)
+    assert "step 1 " in errs[0] and "Traceback" not in errs[0]
+    assert errs[0] == errs[1]
 
 
 def test_rerun_reproduces_bytes(tmp_path):

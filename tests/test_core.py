@@ -10,6 +10,7 @@ from trafficflow.core import (
     ConfigError,
     ConstantCapacity,
     Grid1D,
+    MAX_CELLS,
     MacroField,
     ModelParams,
     NumericalError,
@@ -226,6 +227,14 @@ def test_grid_requires_integer_cell_count():
     # 8 / 1e300 rounds to 0 cells within the integer-multiple tolerance
     with pytest.raises(ConfigError, match="no cell"):
         Grid1D(-4.0, 4.0, 1e300)
+
+
+@pytest.mark.parametrize("dx", [1e-300, 1e-320, 1e-9, 7.9e-8])
+def test_grid_rejects_more_than_max_cells(dx):
+    # checked before anything is allocated; 1e-320 gives an infinite count
+    with pytest.raises(ConfigError, match="cells, more than"):
+        Grid1D(-4.0, 4.0, dx)
+    assert Grid1D(-4.0, 4.0, 8e-8).n_cells == MAX_CELLS
 
 
 def test_grid_wrap_and_cell_index():

@@ -1,5 +1,9 @@
 """Accident-size sampling, quadrature, polynomial chaos and Monte Carlo."""
 
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +14,7 @@ from trafficflow.core import (
     ConstantCapacity,
     Grid1D,
     ModelParams,
+    NumericalError,
     headway_H,
     pressure,
 )
@@ -24,12 +29,14 @@ from trafficflow.uq import (
     AccidentDistribution,
     gauss_legendre,
     legendre_basis,
+    map_chunks,
     monte_carlo,
     pce_convergence_study,
     pce_macro_init,
     pce_macro_step,
     pce_micro_init,
     pce_micro_step,
+    pool_size,
     run_pce_macro,
     run_pce_micro,
     sample_accident_sizes,
@@ -340,6 +347,109 @@ def test_monte_carlo_rejects_unsupported_model():
     sc = accident_scenario(dx=2e-2, dt=2e-2, N=200, T=1.0)
     with pytest.raises(ConfigError):
         monte_carlo(sc, "macro1", 2, seed=0)
+
+
+def test_monte_carlo_rejects_negative_threads():
+    sc = accident_scenario(dx=2e-2, dt=2e-2, N=200, T=1.0)
+    with pytest.raises(ConfigError, match="threads"):
+        monte_carlo(sc, "macro2", 2, seed=0, threads=-1)
+
+
+# ---------------------------------------------------------------------------
+# The Monte Carlo chunk pool
+# ---------------------------------------------------------------------------
+
+def test_pool_size_is_clamped_to_chunks_and_cpus():
+    # the clamp alone: no thread is started here
+    cpus = pool_size(0, 10**9)
+    assert 1 <= cpus <= (os.cpu_count() or 1)
+    for n_chunks in (1, 2, 3, 64, 10**6):
+        assert pool_size(10**9, n_chunks) <= min(n_chunks, cpus)
+        assert pool_size(0, n_chunks) == min(n_chunks, cpus)
+        assert pool_size(1, n_chunks) == 1
+    for threads in (0, 1, 2, 7, 10**9):
+        assert pool_size(threads, 1) == 1
+
+
+def test_pool_of_one_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a pool of size 1 started a thread")
+
+    monkeypatch.setattr(uq.threading, "Thread", no_thread)
+    assert map_chunks(lambda i: i * i, 5, threads=1) == [0, 1, 4, 9, 16]
+    assert map_chunks(lambda i: -i, 1, threads=0) == [0]
+
+
+def test_map_chunks_keeps_chunk_order():
+    def slow_first(i):
+        if i == 0:
+            time.sleep(0.05)  # later chunks finish first on a pool
+        return i
+
+    for threads in (1, 2, 0):
+        assert map_chunks(slow_first, 9, threads) == list(range(9))
+
+
+def test_map_chunks_hands_out_each_chunk_once_under_contention(monkeypatch):
+    # more threads than CPUs and a short switch interval: a lost update of
+    # the shared chunk counter would run a chunk twice or skip one
+    monkeypatch.setattr(uq, "pool_size", lambda threads, n_chunks: 8)
+    ran, got = [], []
+
+    def fn(i):
+        ran.append(i)
+        return -i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t = threading.Thread(
+            target=lambda: got.append(map_chunks(fn, 2000)))
+        t.start()
+        t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not t.is_alive()
+    assert got == [[-i for i in range(2000)]]
+    assert sorted(ran) == list(range(2000))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_chunks_raises_the_lowest_failed_chunk(threads):
+    # on two threads chunk 3 fails first, while chunk 1 is still running
+    ran = []
+
+    def fn(i):
+        ran.append(i)
+        if i == 1:
+            time.sleep(0.05)
+        if i in (1, 3):
+            raise NumericalError(f"chunk {i} failed")
+        return i
+
+    with pytest.raises(NumericalError, match="chunk 1 failed"):
+        map_chunks(fn, 8, threads)
+    assert set(ran) <= {0, 1, 2, 3}
+    if threads == 1:
+        assert ran == [0, 1]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_chunks_hands_out_no_chunk_after_a_failure(threads):
+    # chunk 1 fails while chunk 0 still runs on the other thread
+    ran = []
+
+    def fn(i):
+        ran.append(i)
+        if i == 0:
+            time.sleep(0.05)
+        if i == 1:
+            raise NumericalError("chunk 1 failed")
+        return i
+
+    with pytest.raises(NumericalError, match="chunk 1 failed"):
+        map_chunks(fn, 8, threads)
+    assert sorted(ran) == [0, 1]
 
 
 # ---------------------------------------------------------------------------
