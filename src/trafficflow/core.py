@@ -28,9 +28,10 @@ class OrderingViolationError(NumericalError):
 class CFLViolationError(ConfigError):
     """Time step too large for the spatial grid."""
 
-    def __init__(self, ratio: float):
+    def __init__(self, ratio: float, dt: float, dx: float):
         self.ratio = ratio
-        super().__init__(f"CFL condition violated: ratio {ratio:.6g} > 1")
+        super().__init__(f"CFL condition violated: ratio {ratio:.6g} > 1 "
+                         f"for params.dt = {dt!r} and domain.dx = {dx!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +64,10 @@ def _periodic_wrap(x, x_min: float, length: float):
     return r if r.ndim else r[()]
 
 
-# Largest grid accepted: one field of 10**8 cells already takes 800 MB.
+# Largest grid and vehicle count accepted: one field of 10**8 cells, or
+# one position array of 10**8 vehicles, already takes 800 MB.
 MAX_CELLS = 10**8
+MAX_VEHICLES = 10**8
 
 
 @dataclass(frozen=True)
@@ -144,22 +147,22 @@ class ModelParams:
     N: int = 10_000
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            # gamma <= C with C = 1 for the default speed closure keeps the
-            # post-interaction headway non-negative.
-            raise ConfigError("gamma must lie in [0, 1]")
-        if self.eta <= 0:
-            raise ConfigError("eta must be positive")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        if not 0.0 <= self.a <= 1.0:
-            raise ConfigError("a must lie in [0, 1]")
-        if self.dt <= 0 or self.T <= 0:
-            raise ConfigError("dt and T must be positive")
-        if self.L <= 0:
-            raise ConfigError("L must be positive")
-        if self.N < 1:
-            raise ConfigError("N must be at least 1")
+        # each message starts with the field it names, so that a scenario
+        # parser can prefix it with the section ("params.gamma = ..."); gamma
+        # <= C with C = 1 for the default speed closure keeps the
+        # post-interaction headway non-negative
+        for name in ("gamma", "a"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} = {getattr(self, name)!r} must "
+                                  f"lie in [0, 1]")
+        for name in ("eta", "epsilon", "dt", "T", "L"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} = {getattr(self, name)!r} must "
+                                  f"be positive")
+        # checked before any N-long array is allocated
+        if not 1 <= self.N <= MAX_VEHICLES:
+            raise ConfigError(f"N = {self.N!r} must lie in "
+                              f"[1, {MAX_VEHICLES}]")
 
     def n_steps(self) -> int:
         return int(round(self.T / self.dt))
@@ -241,12 +244,20 @@ def integrate(state, step, observe, params: ModelParams, out_times=None,
 # Closures
 # ---------------------------------------------------------------------------
 
+# Each closure checks its input and calls an unchecked form (leading
+# underscore) that holds the formula; a step that has already shown its
+# input to be valid calls the unchecked form and skips the scan.
+
+def _speed_V(h):
+    return h / (h + 1.0)
+
+
 def speed_V(h):
     """Speed as a function of headway: V(h) = h / (h + 1)."""
     h = np.asarray(h, dtype=float)
     if np.any(h < 0):
         raise ValueError("headway must be non-negative")
-    return h / (h + 1.0)
+    return _speed_V(h)
 
 
 def speed_V_prime(h):
@@ -259,12 +270,16 @@ def speed_V_second(h):
     return -2.0 / (1.0 + h) ** 3
 
 
+def _headway_H(rho):
+    return 1.0 / (1.0 + rho)
+
+
 def headway_H(rho):
     """Recommended headway as a function of density: H(rho) = 1 / (1 + rho)."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("density must be non-negative")
-    return 1.0 / (1.0 + rho)
+    return _headway_H(rho)
 
 
 def micro_speed_Vtilde(u):
@@ -285,12 +300,16 @@ def micro_speed_equilibrium(u):
     return speed_V(headway_H(u))
 
 
+def _pressure(rho, params: ModelParams):
+    return 0.5 * params.gamma * params.eta * rho
+
+
 def pressure(rho, params: ModelParams):
     """Pressure closure p(rho) = (gamma/2) * eta * rho."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("density must be non-negative")
-    return 0.5 * params.gamma * params.eta * rho
+    return _pressure(rho, params)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +322,7 @@ class ConstantCapacity:
 
     def __post_init__(self):
         if not 0.0 <= self.c0 <= 1.0:
-            raise ConfigError("capacity value must lie in [0, 1]")
+            raise ConfigError(f"c0 = {self.c0!r} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -320,12 +339,15 @@ class PiecewiseRampCapacity:
     delta: float
 
     def __post_init__(self):
+        # each message starts with the field it names (see ModelParams)
         if not 0.0 <= self.c_low <= 1.0:
-            raise ConfigError("c_low must lie in [0, 1]")
+            raise ConfigError(f"c_low = {self.c_low!r} must lie in [0, 1]")
         if self.delta <= 0:
-            raise ConfigError("delta must be positive")
+            raise ConfigError(f"delta = {self.delta!r} must be positive")
         if self.x_right - self.x_left <= 2 * self.delta:
-            raise ConfigError("inner interval too small for the delta-ramps")
+            raise ConfigError(f"delta = {self.delta!r} leaves no inner "
+                              f"interval: x_right - x_left must exceed "
+                              f"2 * delta")
 
 
 @dataclass(frozen=True)
@@ -336,7 +358,7 @@ class AccidentCapacity:
 
     def __post_init__(self):
         if not 0.0 <= self.drop <= 1.0:
-            raise ConfigError("drop must lie in [0, 1]")
+            raise ConfigError(f"drop = {self.drop!r} must lie in [0, 1]")
 
 
 CapacitySpec = Union[ConstantCapacity, PiecewiseRampCapacity, AccidentCapacity]

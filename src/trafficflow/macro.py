@@ -17,6 +17,9 @@ from .core import (
     MacroField,
     ModelParams,
     NumericalError,
+    _headway_H,
+    _pressure,
+    _speed_V,
     capacity_eval,
     capacity_max,
     headway_H,
@@ -39,7 +42,7 @@ def cfl_check(params: ModelParams, capacity: CapacitySpec,
               grid: Grid1D) -> float:
     ratio = cfl_ratio(params, capacity, grid)
     if ratio > 1.0 + 1e-12:
-        raise CFLViolationError(ratio)
+        raise CFLViolationError(ratio, params.dt, grid.dx)
     return ratio
 
 
@@ -56,26 +59,28 @@ def _lf(q: np.ndarray, flux: np.ndarray, lam: float) -> np.ndarray:
     0.5 (q[i-1] + q[i+1]) - lam (f[i+1] - f[i-1]), with every operation
     paired as in the np.roll form, so the result is the same bit for bit.
     Slices give the interior cells; the two end cells take their wrapped
-    neighbours, whose indices taken mod n also serve one and two cells."""
+    neighbours, whose indices taken mod n also serve one and two cells.
+    Every sum and difference is written straight into its place in the two
+    result arrays, the end cells included."""
     n = q.shape[-1]
-    total = np.empty(np.broadcast_shapes(q.shape, flux.shape))
+    total = np.empty(np.broadcast(q, flux).shape)
     np.add(q[..., :-2], q[..., 2:], out=total[..., 1:-1])
-    total[..., 0] = q[..., -1] + q[..., 1 % n]
-    total[..., -1] = q[..., -2 % n] + q[..., 0]
+    np.add(q[..., -1], q[..., 1 % n], out=total[..., 0])
+    np.add(q[..., -2 % n], q[..., 0], out=total[..., -1])
     total *= 0.5
     slope = np.empty_like(total)
     np.subtract(flux[..., 2:], flux[..., :-2], out=slope[..., 1:-1])
-    slope[..., 0] = flux[..., 1 % n] - flux[..., -1]
-    slope[..., -1] = flux[..., 0] - flux[..., -2 % n]
+    np.subtract(flux[..., 1 % n], flux[..., -1], out=slope[..., 0])
+    np.subtract(flux[..., 0], flux[..., -2 % n], out=slope[..., -1])
     slope *= lam
     total -= slope
     return total
 
 
 def _check_density(rho: np.ndarray) -> None:
-    if not np.all(np.isfinite(rho)):
+    if not np.isfinite(rho).all():
         raise NumericalError("non-finite density from Lax-Friedrichs step")
-    if np.any(rho < -1e-12):
+    if (rho < -1e-12).any():
         raise NumericalError(
             f"negative density {rho.min():.3e} from Lax-Friedrichs step")
 
@@ -95,8 +100,10 @@ def lf_step_first_order(rho: np.ndarray, capacity: CapacitySpec,
 def advection_speed(rho: np.ndarray, z: np.ndarray, c: np.ndarray,
                     params: ModelParams) -> np.ndarray:
     """Speed c V(h) of the second-order model in the conservative pair
-    (rho, z), with the headway h = z/rho - p(rho) floored at zero."""
-    return c * speed_V(np.maximum(z / rho - pressure(rho, params), 0.0))
+    (rho, z), with the headway h = z/rho - p(rho) floored at zero. rho must
+    be positive: both callers have just checked it, so the closures run
+    unchecked (the floored h cannot be negative either)."""
+    return c * _speed_V(np.maximum(z / rho - _pressure(rho, params), 0.0))
 
 
 def lf_step_conservative(rho: np.ndarray, z: np.ndarray,
@@ -109,15 +116,15 @@ def lf_step_conservative(rho: np.ndarray, z: np.ndarray,
     excites the odd-even mode that the central scheme leaves undamped)."""
     if c is None:
         c = capacity_on_grid(capacity, grid, y)
-    if np.any(rho <= _RHO_GUARD):
+    if (rho <= _RHO_GUARD).any():
         raise NumericalError("vanishing density in conservative step")
     cv = advection_speed(rho, z, c, params)
     lam = params.dt / (2 * grid.dx)
     rho_new = _lf(rho, cv * rho, lam)
-    z_new = _lf(z, cv * z, lam)
+    z_new = _lf(z, np.multiply(cv, z, out=cv), lam)
     _check_density(rho_new)
     if params.a != 0.0:
-        z_new = z_new + relaxation_source(rho_new, z_new, params)
+        z_new += relaxation_source(rho_new, z_new, params)
     return rho_new, z_new
 
 
@@ -125,8 +132,10 @@ def relaxation_source(rho: np.ndarray, z: np.ndarray,
                       params: ModelParams) -> np.ndarray:
     """Increment dt a rho (H(rho) - h) of z over one step of the relaxation
     source, with the headway h = z/rho - p(rho)."""
-    h = z / rho - pressure(rho, params)
-    return params.dt * params.a * rho * (headway_H(rho) - h)
+    if (rho < 0).any():
+        raise ValueError("density must be non-negative")
+    h = z / rho - _pressure(rho, params)
+    return params.dt * params.a * rho * (_headway_H(rho) - h)
 
 
 def total_mass(rho: np.ndarray, grid: Grid1D) -> float:

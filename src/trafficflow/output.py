@@ -2,19 +2,27 @@
 round-trip through the files is lossless.
 
 The CSV writers format each distinct float64 bit pattern of a column once
-and spread the text back to the rows through np.unique's inverse. Equal
+(map(repr, ...), so the calls run in C) and spread the text back to the
+rows through np.unique's inverse with one operator.itemgetter call. Equal
 bits are the same float, so each cell gets the text repr(float(v)) would
 give it; the dedupe is by bits, not by value, which keeps 0.0 and -0.0
 apart. Lax-Friedrichs fields keep their constant regions exact, so only
 about a quarter of a snapshot's density or headway values are distinct.
 The text of a grid's cell centres is cached for the last grid written, so
 a series of snapshots formats its x column once.
+
+Rows are assembled a block of BLOCK_ROWS at a time: the column texts are
+slice-assigned into one list that interleaves them with the "," and "\n"
+separators, and the list is joined into one string and written. A block
+bounds the text alive at once; one join per block replaces one join per
+row.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -22,20 +30,26 @@ import numpy as np
 from .core import Grid1D, MacroField
 from .uq import ConvergenceResult, StatSummary
 
+BLOCK_ROWS = 1024  # rows joined into one string and written at a time
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _column_text(column, end: str = "") -> list:
-    """_fmt(v) + end for each v of a 1-D column, with repr called once per
+
+def _column_text(column) -> tuple:
+    """_fmt(v) for each v of a 1-D column, with repr called once per
     distinct bit pattern (repr of the Python floats tolist() gives is
     _fmt's text)."""
     column = np.ascontiguousarray(column, dtype=float)
     _, first, inverse = np.unique(column.view(np.int64), return_index=True,
                                   return_inverse=True)
-    text = [repr(v) + end for v in column[first].tolist()]
-    return list(map(text.__getitem__, inverse.ravel().tolist()))
+    text = tuple(map(repr, column[first].tolist()))
+    rows = inverse.ravel().tolist()
+    # itemgetter of one index returns the bare item, not a 1-tuple; with
+    # fewer than two rows text already holds every row's text
+    return itemgetter(*rows)(text) if len(rows) > 1 else text
 
 
 @functools.lru_cache(maxsize=1)
@@ -43,19 +57,27 @@ def _centers_text(grid: Grid1D) -> tuple:
     """Text of the grid's cell centres; equal grids have bit-identical
     centres, so the last grid's text serves every snapshot on it (a tuple,
     since every caller shares it)."""
-    return tuple(_column_text(grid.centers))
+    return _column_text(grid.centers)
 
 
 def _write_rows(path: Path, header: list, columns: list,
                 grid: Grid1D | None = None) -> None:
     """One row per cell; a grid puts its cell centres first."""
-    *lead, last = columns
-    texts = [_column_text(c) for c in lead] + [_column_text(last, "\n")]
+    texts = [_column_text(c) for c in columns]
     if grid is not None:
         texts.insert(0, _centers_text(grid))
+    stride = 2 * len(texts)  # each cell followed by "," or, last, "\n"
+    cells = []
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(map(",".join, zip(*texts)))
+        for start in range(0, len(texts[0]), BLOCK_ROWS):
+            block = [text[start:start + BLOCK_ROWS] for text in texts]
+            if len(cells) != stride * len(block[0]):
+                cells = (([None, ","] * len(texts))[:-1] + ["\n"]) \
+                    * len(block[0])
+            for j, text in enumerate(block):
+                cells[j * 2::stride] = text
+            f.write("".join(cells))
 
 
 def fields_filename(t: float) -> str:

@@ -128,22 +128,35 @@ def _parse_profile(entries, context: str) -> PiecewiseProfile:
     return PiecewiseProfile(tuple(thresholds), tuple(values))
 
 
+def _build(cls, section: str, **values):
+    """cls(**values), with a ConfigError of its own checks re-raised with
+    the section in front: those messages start with the field they name,
+    so the result reads as the key path ("params.gamma = ...")."""
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
+
+
+# capacity variant: (spec, required keys, optional keys); the spec's
+# defaults fill in absent optional keys
+CAPACITY_VARIANTS = {
+    "constant": (ConstantCapacity, (), ("c0",)),
+    "piecewise_ramp": (PiecewiseRampCapacity,
+                       ("c_low", "x_left", "x_right", "delta"), ()),
+    "accident": (AccidentCapacity, (), ("drop",)),
+}
+
+
 def _parse_capacity(doc: dict) -> CapacitySpec:
     variant = doc.get("variant") if isinstance(doc, dict) else doc
-    if variant == "constant":
-        _take(doc, "capacity", ("variant",), ("c0",))
-        return ConstantCapacity(_number(doc, "c0", "capacity", 1.0))
-    if variant == "piecewise_ramp":
-        _take(doc, "capacity", ("variant", "c_low", "x_left", "x_right",
-                                "delta"))
-        return PiecewiseRampCapacity(_number(doc, "c_low", "capacity"),
-                                     _number(doc, "x_left", "capacity"),
-                                     _number(doc, "x_right", "capacity"),
-                                     _number(doc, "delta", "capacity"))
-    if variant == "accident":
-        _take(doc, "capacity", ("variant",), ("drop",))
-        return AccidentCapacity(_number(doc, "drop", "capacity", 0.4))
-    raise ConfigError(f"unknown capacity variant {variant!r}")
+    if not isinstance(variant, str) or variant not in CAPACITY_VARIANTS:
+        raise ConfigError(f"unknown capacity variant {variant!r}")
+    spec, required, optional = CAPACITY_VARIANTS[variant]
+    _take(doc, "capacity", ("variant",) + required, optional)
+    return _build(spec, "capacity",
+                  **{key: _number(doc, key, "capacity")
+                     for key in required + optional if key in doc})
 
 
 def _parse_uq(doc: dict) -> UQConfig:
@@ -175,25 +188,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
     xmin = _number(dom, "xmin", "domain")
     xmax = _number(dom, "xmax", "domain")
     dx = _number(dom, "dx", "domain")
-    try:
-        grid = Grid1D(xmin, xmax, dx)
-    except ConfigError as exc:  # the message starts with the field's name
-        raise ConfigError(f"domain.{exc}") from None
+    grid = _build(Grid1D, "domain", x_min=xmin, x_max=xmax, dx=dx)
 
     par = doc["params"]
-    _take(par, "params", (),
-          ("gamma", "eta", "epsilon", "a", "dt", "T", "L", "N"))
-    defaults = ModelParams()
-    params = ModelParams(
-        gamma=_number(par, "gamma", "params", defaults.gamma),
-        eta=_number(par, "eta", "params", defaults.eta),
-        epsilon=_number(par, "epsilon", "params", defaults.epsilon),
-        a=_number(par, "a", "params", defaults.a),
-        dt=_number(par, "dt", "params", defaults.dt),
-        T=_number(par, "T", "params", defaults.T),
-        L=_number(par, "L", "params", defaults.L),
-        N=_number(par, "N", "params", defaults.N, integer=True),
-    )
+    keys = ("gamma", "eta", "epsilon", "a", "dt", "T", "L", "N")
+    _take(par, "params", (), keys)
+    # absent keys keep the ModelParams defaults
+    params = _build(ModelParams, "params",
+                    **{key: _number(par, key, "params", integer=key == "N")
+                       for key in keys if key in par})
 
     capacity = _parse_capacity(doc["capacity"])
 
@@ -215,7 +218,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
 def load_scenario(path) -> Scenario:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal
+        # longer than the interpreter converts (4300 digits by default)
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("scenario file must hold a JSON object")

@@ -164,9 +164,23 @@ GOOD_H = [{"x_lt": 4.0, "value": 0.8}]
      "domain.dx = 1e-300 gives 8e+300 cells"),
     ({"domain": dict(GOOD_DOMAIN, dx=1e-9)},
      "domain.dx = 1e-09 gives 8e+09 cells"),
+    ({"params": dict(GOOD_PARAMS, gamma=2)},
+     "params.gamma = 2.0 must lie in [0, 1]"),
+    ({"params": dict(GOOD_PARAMS, dt=-0.04)},
+     "params.dt = -0.04 must be positive"),
+    ({"params": dict(GOOD_PARAMS, T=0)}, "params.T = 0.0 must be positive"),
+    ({"capacity": {"variant": "constant", "c0": 1.5}},
+     "capacity.c0 = 1.5 must lie in [0, 1]"),
+    # the grid allows dt <= dx = 0.04 only
+    ({"params": dict(GOOD_PARAMS, dt=0.08, T=0.8)},
+     "params.dt = 0.08 and domain.dx = 0.04"),
+    # more than 10**8 vehicles: rejected while parsing, before any array
+    ({"params": dict(GOOD_PARAMS, N=10**8 + 1)},
+     "params.N = 100000001 must lie in [1, 100000000]"),
 ], ids=["nan", "infinity", "string", "params-list", "bare-profile-entry",
         "fractional-N", "periodic-false", "periodic-string", "periodic-1",
-        "no-cell", "too-many-cells-1e-300", "too-many-cells-1e-9"])
+        "no-cell", "too-many-cells-1e-300", "too-many-cells-1e-9",
+        "gamma", "dt", "T", "capacity-c0", "cfl", "too-many-vehicles"])
 def test_malformed_scenario_values_exit_2_and_name_key(tmp_path, capsys,
                                                        override, key):
     sc = write_scenario(tmp_path, **override)

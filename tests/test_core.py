@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trafficflow.core import (
     AccidentCapacity,
@@ -11,6 +12,7 @@ from trafficflow.core import (
     ConstantCapacity,
     Grid1D,
     MAX_CELLS,
+    MAX_VEHICLES,
     MacroField,
     ModelParams,
     NumericalError,
@@ -107,6 +109,18 @@ def test_pressure_is_linear(rho, alpha):
     params = ModelParams()
     assert pressure(alpha * rho, params) == pytest.approx(
         alpha * pressure(rho, params), abs=1e-15)
+
+
+@given(arrays(np.float64, st.integers(1, 6), elements=st.floats(0.0, 1e6)),
+       st.floats(0.0, 1.0), st.floats(1e-6, 1.0))
+def test_closures_keep_their_plain_formulas_bit_for_bit(x, gamma, eta):
+    # the macro2 step calls the same arithmetic through the unchecked forms
+    params = ModelParams(gamma=gamma, eta=eta)
+    assert speed_V(x).tobytes() == (x / (x + 1.0)).tobytes()
+    assert headway_H(x).tobytes() == (1.0 / (1.0 + x)).tobytes()
+    assert pressure(x, params).tobytes() == (
+        0.5 * params.gamma * params.eta * x).tobytes()
+    assert np.float64(speed_V(x[0])) == x[0] / (x[0] + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +327,15 @@ def test_params_validate_ranges():
         ModelParams(gamma=1.5)
     with pytest.raises(ConfigError):
         ModelParams(dt=-1e-3)
+
+
+@pytest.mark.parametrize("N", [0, MAX_VEHICLES + 1, 10**300])
+def test_params_reject_vehicle_counts_outside_the_cap(N):
+    # checked on construction, before any N-long array exists
+    with pytest.raises(ConfigError, match=r"^N = \d+ must lie in "
+                                          r"\[1, 100000000\]$"):
+        ModelParams(N=N)
+    assert ModelParams(N=MAX_VEHICLES).N == MAX_VEHICLES
 
 
 def test_params_step_count():

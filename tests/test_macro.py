@@ -13,6 +13,7 @@ from trafficflow.core import (
     NumericalError,
     headway_H,
     pressure,
+    speed_V,
 )
 from trafficflow.macro import (
     _lf,
@@ -201,3 +202,60 @@ def test_lf_update_equals_roll_form_bit_for_bit(inputs, lam):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(q, before[0]) and np.array_equal(flux, before[1])
+
+
+def _reference_conservative_step(rho, z, c, params, lam):
+    """The conservative step written from the public closures, as in its
+    plain form: c V(max(z/rho - p(rho), 0)) advection through the np.roll
+    update, then dt a rho (H(rho) - h) on the post-advection state."""
+    cv = c * speed_V(np.maximum(z / rho - pressure(rho, params), 0.0))
+    rho_new = _roll_lf(rho, cv * rho, lam)
+    z_new = _roll_lf(z, cv * z, lam)
+    if params.a != 0.0:
+        h = z_new / rho_new - pressure(rho_new, params)
+        z_new = z_new + params.dt * params.a * rho_new * (
+            headway_H(rho_new) - h)
+    return rho_new, z_new
+
+
+@st.composite
+def conservative_states(draw, rows, n):
+    """(rho, z, c): rho above the vanishing-density guard, z from zero
+    (whose headway is floored) up, c of the state's shape or one row."""
+    shape = rows + (n,)
+    rho = draw(arrays(np.float64, shape, elements=st.floats(1e-9, 10.0)))
+    z = draw(arrays(np.float64, shape, elements=st.floats(0.0, 20.0)))
+    c_shape = shape if draw(st.booleans()) else (n,)
+    c = draw(arrays(np.float64, c_shape, elements=st.floats(0.0, 1.0)))
+    return rho, z, c
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["one-row", "batch"])
+@pytest.mark.parametrize("a", [0.0, 0.7])
+@given(data=st.data(), courant=st.floats(0.01, 1.0),
+       gamma=st.floats(0.0, 1.0), eta=st.floats(1e-3, 1.0))
+def test_conservative_step_equals_closure_form_bit_for_bit(n, rows, a, data,
+                                                           courant, gamma,
+                                                           eta):
+    # dt <= dx keeps the LF update positive, so neither form raises
+    grid = Grid1D(0.0, float(n), 1.0)
+    params = ModelParams(a=a, dt=courant, gamma=gamma, eta=eta)
+    rho, z, c = data.draw(conservative_states(rows, n))
+    before = rho.copy(), z.copy(), c.copy()
+    got = lf_step_conservative(rho, z, C1, params, grid, c=c)
+    want = _reference_conservative_step(rho, z, c, params,
+                                        params.dt / (2 * grid.dx))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    for arr, old in zip((rho, z, c), before):
+        assert np.array_equal(arr, old)
+
+
+def test_vanishing_density_names_step_and_time():
+    grid = Grid1D(0.0, 1.0, 0.25)
+    rho0 = np.array([0.2, 0.0, 0.2, 0.2])
+    with pytest.raises(NumericalError,
+                       match=r"^step 1 \(t = 0\.1\): vanishing density"):
+        run_second_order(rho0, np.full(4, 0.5), C1,
+                         ModelParams(dt=0.1, T=0.2), grid)

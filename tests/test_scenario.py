@@ -1,5 +1,7 @@
 """Scenario configuration: piecewise profiles and strict JSON parsing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -109,8 +111,47 @@ def test_load_scenario_errors(tmp_path):
         load_scenario(tmp_path / "absent.json")
 
 
+def test_integer_too_long_to_convert_is_invalid_json(tmp_path):
+    # json.loads raises a ValueError that is not a JSONDecodeError for an
+    # integer literal past the interpreter's 4300-digit limit
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(valid_doc()).replace(
+        '"T": 1.0', '"T": 1.0, "N": 1' + "0" * 5000))
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("params", "gamma", 1.5), ("params", "eta", 0.0),
+    ("params", "epsilon", -1.0), ("params", "a", 2.0),
+    ("params", "dt", 0.0), ("params", "T", -1.0), ("params", "L", 0.0),
+    ("params", "N", 0), ("params", "N", 10**8 + 1),
+    ("capacity", "c0", -0.5),
+])
+def test_out_of_range_values_name_their_key_path(section, key, value):
+    doc = valid_doc()
+    doc[section][key] = value
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value).startswith(f"{section}.{key} = {value!r} ")
+
+
+@pytest.mark.parametrize("capacity, key", [
+    ({"variant": "piecewise_ramp", "c_low": 1.5, "x_left": -2.0,
+      "x_right": 2.0, "delta": 0.1}, "c_low"),
+    ({"variant": "piecewise_ramp", "c_low": 0.5, "x_left": -2.0,
+      "x_right": 2.0, "delta": 0.0}, "delta"),
+    ({"variant": "piecewise_ramp", "c_low": 0.5, "x_left": -0.1,
+      "x_right": 0.1, "delta": 0.1}, "delta"),
+    ({"variant": "accident", "drop": 1.5}, "drop"),
+])
+def test_capacity_errors_name_their_key_path(capacity, key):
+    doc = dict(valid_doc(), capacity=capacity)
+    with pytest.raises(ConfigError, match=f"^capacity.{key} = "):
+        scenario_from_dict(doc)
+
+
 def test_load_scenario_valid(tmp_path):
-    import json
     path = tmp_path / "sc.json"
     path.write_text(json.dumps(valid_doc()))
     sc = load_scenario(path)
