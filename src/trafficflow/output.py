@@ -37,7 +37,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-
 def _column_text(column) -> tuple:
     """_fmt(v) for each v of a 1-D column, with repr called once per
     distinct bit pattern (repr of the Python floats tolist() gives is
