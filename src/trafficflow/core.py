@@ -70,6 +70,20 @@ MAX_CELLS = 10**8
 MAX_VEHICLES = 10**8
 
 
+def _short_repr(x) -> str:
+    """repr(x), or, for a number whose repr runs past 12 characters, x to 6
+    significant digits: a number read from JSON can have hundreds of digits
+    (a 1e300 written for an integer field, say), too many for a message."""
+    text = repr(x)
+    if len(text) <= 12 or not isinstance(x, (int, float)):
+        return text
+    try:
+        return f"{x:.6g}"
+    except OverflowError:  # an int past the float range
+        from decimal import Decimal
+        return f"{Decimal(x).normalize():.6g}"
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Equispaced 1-D grid of cell centers on [x_min, x_max]."""
@@ -161,7 +175,7 @@ class ModelParams:
                                   f"be positive")
         # checked before any N-long array is allocated
         if not 1 <= self.N <= MAX_VEHICLES:
-            raise ConfigError(f"N = {self.N!r} must lie in "
+            raise ConfigError(f"N = {_short_repr(self.N)} must lie in "
                               f"[1, {MAX_VEHICLES}]")
 
     def n_steps(self) -> int:
@@ -246,10 +260,12 @@ def integrate(state, step, observe, params: ModelParams, out_times=None,
 
 # Each closure checks its input and calls an unchecked form (leading
 # underscore) that holds the formula; a step that has already shown its
-# input to be valid calls the unchecked form and skips the scan.
+# input to be valid calls the unchecked form and skips the scan. The
+# unchecked forms take out=, an array to write into that must not be their
+# input, so that a step can run them without allocating.
 
-def _speed_V(h):
-    return h / (h + 1.0)
+def _speed_V(h, out=None):
+    return np.divide(h, np.add(h, 1.0, out=out), out=out)
 
 
 def speed_V(h):
@@ -270,8 +286,8 @@ def speed_V_second(h):
     return -2.0 / (1.0 + h) ** 3
 
 
-def _headway_H(rho):
-    return 1.0 / (1.0 + rho)
+def _headway_H(rho, out=None):
+    return np.divide(1.0, np.add(1.0, rho, out=out), out=out)
 
 
 def headway_H(rho):
@@ -300,8 +316,8 @@ def micro_speed_equilibrium(u):
     return speed_V(headway_H(u))
 
 
-def _pressure(rho, params: ModelParams):
-    return 0.5 * params.gamma * params.eta * rho
+def _pressure(rho, params: ModelParams, out=None):
+    return np.multiply(0.5 * params.gamma * params.eta, rho, out=out)
 
 
 def pressure(rho, params: ModelParams):

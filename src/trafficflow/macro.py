@@ -54,21 +54,24 @@ def capacity_on_grid(capacity: CapacitySpec, grid: Grid1D, y=None) -> np.ndarray
     return capacity_eval(capacity, grid.centers, y)
 
 
-def _lf(q: np.ndarray, flux: np.ndarray, lam: float) -> np.ndarray:
+def _lf(q: np.ndarray, flux: np.ndarray, lam: float, out=None,
+        slope=None) -> np.ndarray:
     """One Lax-Friedrichs update, periodic in the last axis, lam = dt/(2 dx):
     0.5 (q[i-1] + q[i+1]) - lam (f[i+1] - f[i-1]), with every operation
     paired as in the np.roll form, so the result is the same bit for bit.
     Slices give the interior cells; the two end cells take their wrapped
     neighbours, whose indices taken mod n also serve one and two cells.
-    Every sum and difference is written straight into its place in the two
-    result arrays, the end cells included."""
+    Every sum and difference is written straight into its place in out
+    (the result) and slope (scratch), two arrays of the broadcast shape that
+    must overlap neither q nor flux; both are allocated when not given."""
     n = q.shape[-1]
-    total = np.empty(np.broadcast(q, flux).shape)
+    total = np.empty(np.broadcast(q, flux).shape) if out is None else out
     np.add(q[..., :-2], q[..., 2:], out=total[..., 1:-1])
     np.add(q[..., -1], q[..., 1 % n], out=total[..., 0])
     np.add(q[..., -2 % n], q[..., 0], out=total[..., -1])
     total *= 0.5
-    slope = np.empty_like(total)
+    if slope is None:
+        slope = np.empty_like(total)
     np.subtract(flux[..., 2:], flux[..., :-2], out=slope[..., 1:-1])
     np.subtract(flux[..., 1 % n], flux[..., -1], out=slope[..., 0])
     np.subtract(flux[..., 0], flux[..., -2 % n], out=slope[..., -1])
@@ -77,10 +80,11 @@ def _lf(q: np.ndarray, flux: np.ndarray, lam: float) -> np.ndarray:
     return total
 
 
-def _check_density(rho: np.ndarray) -> None:
-    if not np.isfinite(rho).all():
+def _check_density(rho: np.ndarray, mask=None) -> None:
+    """mask: a boolean array of rho's shape for the scans (optional)."""
+    if not np.isfinite(rho, out=mask).all():
         raise NumericalError("non-finite density from Lax-Friedrichs step")
-    if (rho < -1e-12).any():
+    if np.less(rho, -1e-12, out=mask).any():
         raise NumericalError(
             f"negative density {rho.min():.3e} from Lax-Friedrichs step")
 
@@ -98,44 +102,89 @@ def lf_step_first_order(rho: np.ndarray, capacity: CapacitySpec,
 
 
 def advection_speed(rho: np.ndarray, z: np.ndarray, c: np.ndarray,
-                    params: ModelParams) -> np.ndarray:
+                    params: ModelParams, out=None, tmp=None) -> np.ndarray:
     """Speed c V(h) of the second-order model in the conservative pair
     (rho, z), with the headway h = z/rho - p(rho) floored at zero. rho must
     be positive: both callers have just checked it, so the closures run
-    unchecked (the floored h cannot be negative either)."""
-    return c * _speed_V(np.maximum(z / rho - _pressure(rho, params), 0.0))
+    unchecked (the floored h cannot be negative either). The speed is
+    written into out, with tmp as scratch: arrays of the broadcast shape of
+    rho, z and c, allocated when not given."""
+    if out is None:
+        out = np.empty(np.broadcast(rho, z, c).shape)
+        tmp = np.empty_like(out)
+    h = np.divide(z, rho, out=tmp)
+    h -= _pressure(rho, params, out=out)
+    np.maximum(h, 0.0, out=h)
+    return np.multiply(c, _speed_V(h, out=out), out=out)
+
+
+class LFWork:
+    """The arrays of one conservative step on a batch of a given shape,
+    allocated once per run: two (rho, z) pairs that take turns as the
+    step's result, two float scratch arrays and a boolean one for the
+    scans. A step then allocates nothing, so its cost does not depend on
+    how the allocator happens to serve arrays of this size."""
+
+    def __init__(self, shape):
+        self.pairs = [(np.empty(shape), np.empty(shape)) for _ in range(2)]
+        self.a, self.b = np.empty(shape), np.empty(shape)
+        self.mask = np.empty(shape, dtype=bool)
+
+    def result_for(self, rho):
+        """The pair that a step from the state (rho, z) writes into: the
+        one that does not hold rho."""
+        return self.pairs[rho is self.pairs[0][0]]
 
 
 def lf_step_conservative(rho: np.ndarray, z: np.ndarray,
                          capacity: CapacitySpec, params: ModelParams,
-                         grid: Grid1D, y=None, c: np.ndarray | None = None):
+                         grid: Grid1D, y=None, c: np.ndarray | None = None,
+                         work: LFWork | None = None):
     """Second-order model in the conservative pair (rho, z),
     z = rho*(h + p(rho)), where the pressure needs no source term: LF
     advection with speed c V(h), then the relaxation source a rho (H - h) on
     z, evaluated on the post-advection state (on the pre-advection state it
-    excites the odd-even mode that the central scheme leaves undamped)."""
+    excites the odd-even mode that the central scheme leaves undamped).
+
+    The result is written into work (an LFWork of the broadcast shape of
+    rho, z and c, allocated when not given) and is valid until the step
+    after next with the same work; rho and z are only read."""
     if c is None:
         c = capacity_on_grid(capacity, grid, y)
-    if (rho <= _RHO_GUARD).any():
+    if work is None:
+        work = LFWork(np.broadcast(rho, z, c).shape)
+    if np.less_equal(rho, _RHO_GUARD, out=work.mask).any():
         raise NumericalError("vanishing density in conservative step")
-    cv = advection_speed(rho, z, c, params)
+    cv = advection_speed(rho, z, c, params, out=work.a, tmp=work.b)
     lam = params.dt / (2 * grid.dx)
-    rho_new = _lf(rho, cv * rho, lam)
-    z_new = _lf(z, np.multiply(cv, z, out=cv), lam)
-    _check_density(rho_new)
+    rho_new, z_new = work.result_for(rho)
+    # z_new is free until the z update, so it serves as the rho update's
+    # scratch, and the rho flux's array as the z update's
+    _lf(rho, np.multiply(cv, rho, out=work.b), lam, out=rho_new, slope=z_new)
+    _lf(z, np.multiply(cv, z, out=cv), lam, out=z_new, slope=work.b)
+    _check_density(rho_new, work.mask)
     if params.a != 0.0:
-        z_new += relaxation_source(rho_new, z_new, params)
+        z_new += relaxation_source(rho_new, z_new, params, out=work.a,
+                                   tmp=work.b, mask=work.mask)
     return rho_new, z_new
 
 
-def relaxation_source(rho: np.ndarray, z: np.ndarray,
-                      params: ModelParams) -> np.ndarray:
+def relaxation_source(rho: np.ndarray, z: np.ndarray, params: ModelParams,
+                      out=None, tmp=None, mask=None) -> np.ndarray:
     """Increment dt a rho (H(rho) - h) of z over one step of the relaxation
-    source, with the headway h = z/rho - p(rho)."""
-    if (rho < 0).any():
+    source, with the headway h = z/rho - p(rho). It is written into out,
+    with tmp and the boolean mask as scratch: arrays of the broadcast shape
+    of rho and z, allocated when not given."""
+    if np.less(rho, 0, out=mask).any():
         raise ValueError("density must be non-negative")
-    h = z / rho - _pressure(rho, params)
-    return params.dt * params.a * rho * (_headway_H(rho) - h)
+    if out is None:
+        out = np.empty(np.broadcast(rho, z).shape)
+        tmp = np.empty_like(out)
+    h = np.divide(z, rho, out=out)
+    h -= _pressure(rho, params, out=tmp)
+    gap = np.subtract(_headway_H(rho, out=tmp), h, out=tmp)
+    return np.multiply(np.multiply(params.dt * params.a, rho, out=out), gap,
+                       out=out)
 
 
 def total_mass(rho: np.ndarray, grid: Grid1D) -> float:
@@ -170,18 +219,21 @@ def run_second_order(rho0: np.ndarray, h0: np.ndarray, capacity: CapacitySpec,
     c = capacity_on_grid(capacity, grid, y)
     rho = np.broadcast_to(np.asarray(rho0, dtype=float), c.shape)
     h = np.broadcast_to(np.asarray(h0, dtype=float), c.shape)
-    initial = (rho, rho * (h + pressure(rho, params)))
+    work = LFWork(c.shape)
 
     def observe(state):
-        rho, z = state
-        return MacroField(
-            rho=rho, grid=grid,
-            h=h if state is initial else z / rho - pressure(rho, params))
+        if state[0] is rho:  # the initial state
+            return MacroField(rho=rho, h=h, grid=grid)
+        # h is built in the step's scratch array; MacroField keeps copies
+        h_now = np.divide(state[1], state[0], out=work.a)
+        h_now -= pressure(state[0], params)
+        return MacroField(rho=state[0], h=h_now, grid=grid)
 
+    # the initial z is not named here, so it is freed after the first step
     return integrate(
-        initial,
+        (rho, rho * (h + pressure(rho, params))),
         lambda state, j: lf_step_conservative(*state, capacity, params, grid,
-                                              c=c),
+                                              c=c, work=work),
         observe, params, out_times, emit)
 
 

@@ -18,6 +18,7 @@ from .core import (
     Grid1D,
     ModelParams,
     PiecewiseRampCapacity,
+    _short_repr,
 )
 
 KNOWN_MODELS = ("micro", "particle", "macro1", "macro2")
@@ -109,7 +110,8 @@ def _number(mapping: dict, key: str, context: str, default=None,
         ok = False
     if not ok or (integer and value != int(value)):
         kind = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{context}.{key} must be {kind}, got {value!r}")
+        raise ConfigError(f"{context}.{key} must be {kind}, got "
+                          f"{_short_repr(value)}")
     return int(value) if integer else float(value)
 
 

@@ -192,16 +192,25 @@ def pce_micro_init(positions: np.ndarray, K: int, L: float, x_min: float,
                          road_length=road_length)
 
 
+def projector(phi: np.ndarray, quad: Quadrature) -> np.ndarray:
+    """proj[k, q] = phi_k(y_q) w_q / 2, so that proj @ f projects node
+    values f[q, ...] onto the modes, and phi.T @ modes reconstructs them."""
+    return phi * (0.5 * quad.weights)
+
+
 def pce_macro_step(modes: PceModesMacro, capacity: CapacitySpec,
                    params: ModelParams, quad: Quadrature, grid: Grid1D,
                    phi: np.ndarray | None = None,
-                   c_nodes: np.ndarray | None = None) -> PceModesMacro:
+                   c_nodes: np.ndarray | None = None,
+                   proj: np.ndarray | None = None) -> PceModesMacro:
     """One Lax-Friedrichs step of the Galerkin system.
 
     Fluxes are reconstructed at the mapped quadrature nodes y_q (the capacity
     is evaluated at c(x; y_q) there) and projected back onto the basis; so is
     the relaxation source of the deterministic step, from the node
-    reconstructions of the post-advection modes.
+    reconstructions of the post-advection modes. Reconstruction and
+    projection are matrix products (phi.T @, proj @), which may round
+    differently from a sum in another order, by about 1e-16 relative.
     """
     K = modes.order
     if K + 1 > quad.n:
@@ -210,18 +219,19 @@ def pce_macro_step(modes: PceModesMacro, capacity: CapacitySpec,
         phi = legendre_basis(K, quad.y_nodes)
     if c_nodes is None:
         c_nodes = macro.capacity_on_grid(capacity, grid, quad.y_nodes)
+    if proj is None:
+        proj = projector(phi, quad)
 
-    rho_y = np.einsum("kc,kq->qc", modes.rho_hat, phi)
-    z_y = np.einsum("kc,kq->qc", modes.z_hat, phi)
+    rho_y = phi.T @ modes.rho_hat
+    z_y = phi.T @ modes.z_hat
     if np.any(rho_y <= 1e-12):
         node = int(np.argwhere(rho_y <= 1e-12)[0][0])
         raise NumericalError(
             f"non-positive reconstructed density at quadrature node {node}")
     cv = macro.advection_speed(rho_y, z_y, c_nodes, params)
 
-    half_w = 0.5 * quad.weights
-    f_rho_hat = np.einsum("qc,kq,q->kc", cv * rho_y, phi, half_w)
-    f_z_hat = np.einsum("qc,kq,q->kc", cv * z_y, phi, half_w)
+    f_rho_hat = proj @ (cv * rho_y)
+    f_z_hat = proj @ (cv * z_y)
 
     lam = params.dt / (2 * grid.dx)
     rho_new = macro._lf(modes.rho_hat, f_rho_hat, lam)
@@ -229,25 +239,27 @@ def pce_macro_step(modes: PceModesMacro, capacity: CapacitySpec,
     if not np.all(np.isfinite(rho_new)):
         raise NumericalError("non-finite density modes")
     if params.a != 0.0:
-        source = macro.relaxation_source(
-            np.einsum("kc,kq->qc", rho_new, phi),
-            np.einsum("kc,kq->qc", z_new, phi), params)
-        z_new = z_new + np.einsum("qc,kq,q->kc", source, phi, half_w)
+        source = macro.relaxation_source(phi.T @ rho_new, phi.T @ z_new,
+                                         params)
+        z_new += proj @ source
     return PceModesMacro(rho_hat=rho_new, z_hat=z_new, grid=grid)
 
 
 def pce_micro_step(modes: PceModesMicro, capacity: CapacitySpec,
                    params: ModelParams, quad: Quadrature,
                    phi: np.ndarray | None = None,
-                   speed_law=micro_speed_Vtilde) -> PceModesMicro:
+                   speed_law=micro_speed_Vtilde,
+                   proj: np.ndarray | None = None) -> PceModesMicro:
     """Explicit Euler on position modes; the Euler rates are reconstructed
     at the nodes as in the deterministic step, with the follow-the-leader law
-    speed_law."""
+    speed_law, and projected with proj (see pce_macro_step)."""
     K = modes.order
     if K + 1 > quad.n:
         raise ConfigError("quadrature must have at least K+1 nodes")
     if phi is None:
         phi = legendre_basis(K, quad.y_nodes)
+    if proj is None:
+        proj = projector(phi, quad)
 
     x_y = modes.x_hat @ phi  # (N, n)
     # one row of vehicles per node: transposed views of the (N, n) layout
@@ -255,7 +267,7 @@ def pce_micro_step(modes: PceModesMicro, capacity: CapacitySpec,
         x_y.T, modes.L, modes.x_min, modes.road_length, capacity,
         quad.y_nodes[:, None], speed_law)
     rate = c.T * speed.T  # (N, n)
-    xdot_hat = np.einsum("nq,kq,q->nk", rate, phi, 0.5 * quad.weights)
+    xdot_hat = rate @ proj.T
     return PceModesMicro(x_hat=modes.x_hat + params.dt * xdot_hat,
                          L=modes.L, x_min=modes.x_min,
                          road_length=modes.road_length)
@@ -278,10 +290,10 @@ def expectation_from_macro_modes(modes: PceModesMacro, params: ModelParams,
         return MacroField(rho=rho, h=h, grid=modes.grid)
     if phi is None:
         phi = legendre_basis(modes.order, quad.y_nodes)
-    rho_y = np.einsum("kc,kq->qc", modes.rho_hat, phi)
-    z_y = np.einsum("kc,kq->qc", modes.z_hat, phi)
+    rho_y = phi.T @ modes.rho_hat
+    z_y = phi.T @ modes.z_hat
     h_y = z_y / np.maximum(rho_y, 1e-300) - pressure(rho_y, params)
-    h = np.einsum("qc,q->c", h_y, 0.5 * quad.weights)
+    h = (0.5 * quad.weights) @ h_y
     return MacroField(rho=rho, h=np.maximum(h, 0.0), grid=modes.grid)
 
 
@@ -317,13 +329,14 @@ def run_pce_macro(scenario: Scenario, n_nodes: int, K: int = 0,
     macro.cfl_check(params, scenario.capacity, grid)
     quad = gauss_legendre(n_nodes)
     phi = legendre_basis(K, quad.y_nodes)
+    proj = projector(phi, quad)
     c_nodes = macro.capacity_on_grid(scenario.capacity, grid, quad.y_nodes)
     modes = pce_macro_init(scenario.rho0_field(), scenario.h0_field(), K,
                            params, grid)
     return integrate(
         modes,
         lambda m, j: pce_macro_step(m, scenario.capacity, params, quad, grid,
-                                    phi=phi, c_nodes=c_nodes),
+                                    phi=phi, c_nodes=c_nodes, proj=proj),
         lambda m: expectation_from_macro_modes(m, params, quad, phi),
         params, out_times)
 
@@ -333,13 +346,14 @@ def run_pce_micro(scenario: Scenario, n_nodes: int, K: int = 0,
     params, grid = scenario.params, scenario.grid
     quad = gauss_legendre(n_nodes)
     phi = legendre_basis(K, quad.y_nodes)
+    proj = projector(phi, quad)
     state = micro_init_from_density(scenario.rho0, params.N, params.L, grid)
     modes = pce_micro_init(state.positions, K, params.L, grid.x_min,
                            grid.length)
     return integrate(
         modes,
         lambda m, j: pce_micro_step(m, scenario.capacity, params, quad,
-                                    phi=phi, speed_law=speed_law),
+                                    phi=phi, speed_law=speed_law, proj=proj),
         lambda m: expectation_from_micro_modes(m, grid, params.L, quad, phi),
         params, out_times)
 
@@ -370,18 +384,20 @@ def _summarize(grid: Grid1D, rho: np.ndarray, h: np.ndarray,
     """Stats over the sample axis (axis 0). Median is the lower-interpolated
     empirical quantile; the 5%/95% quantiles interpolate linearly.
     rows_solved defaults to one row per sample."""
+    rho_q05, rho_q95 = np.quantile(rho, [0.05, 0.95], axis=0)
+    h_q05, h_q95 = np.quantile(h, [0.05, 0.95], axis=0)
     return StatSummary(
         grid=grid,
         n_samples=rho.shape[0],
         rows_solved=rho.shape[0] if rows_solved is None else rows_solved,
         rho_mean=rho.mean(axis=0),
         rho_median=np.quantile(rho, 0.5, axis=0, method="lower"),
-        rho_q05=np.quantile(rho, 0.05, axis=0, method="linear"),
-        rho_q95=np.quantile(rho, 0.95, axis=0, method="linear"),
+        rho_q05=rho_q05,
+        rho_q95=rho_q95,
         h_mean=h.mean(axis=0),
         h_median=np.quantile(h, 0.5, axis=0, method="lower"),
-        h_q05=np.quantile(h, 0.05, axis=0, method="linear"),
-        h_q95=np.quantile(h, 0.95, axis=0, method="linear"),
+        h_q05=h_q05,
+        h_q95=h_q95,
     )
 
 
@@ -447,14 +463,24 @@ def map_chunks(fn, n_chunks: int, threads: int = 0) -> list:
     return results
 
 
+def _distinct_rows(rows: np.ndarray):
+    """(first, inverse): the index of the first of each distinct row, in
+    increasing order, and for each row the position of its copy in first.
+    Rows are told apart by their bytes, which needs no sort; the bytes of
+    all distinct rows are freed on return."""
+    seen = {}
+    firsts = [seen.setdefault(row.tobytes(), j) for j, row in enumerate(rows)]
+    return np.unique(firsts, return_inverse=True)
+
+
 def monte_carlo(scenario: Scenario, model: str, n_samples: int,
                 seed: int = 0, speed_law=micro_speed_Vtilde,
                 threads: int = 0) -> StatSummary:
     """Per-cell statistics of the chosen model at T over sampled accident
-    sizes. Each chunk of up to 64 samples is one run of the model's runner
-    with an array of accident sizes (one row per sample), which equals
-    independent runs because rows never interact; speed_law is the
-    follow-the-leader law of the micro model.
+    sizes. Each chunk of up to 64 samples (16 to 64, fewer on a larger
+    pool) is one run of the model's runner with an array of accident sizes
+    (one row per sample), which equals independent runs because rows never
+    interact; speed_law is the follow-the-leader law of the micro model.
 
     The chunks run on map_chunks's pool of min(threads, chunks, CPUs)
     threads, the calling thread among them (threads = 0: every CPU), and
@@ -478,10 +504,9 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
         # cover the same cells give bit-identical rows: run one
         # representative Y per distinct capacity row and expand the results
         # afterwards.
-        first, inverse = np.unique(
-            macro.capacity_on_grid(capacity, grid, ys), axis=0,
-            return_index=True, return_inverse=True)[1:]
-        ys, expand = ys[first], inverse.ravel()  # numpy 2.0.0: a column
+        first, expand = _distinct_rows(
+            macro.capacity_on_grid(capacity, grid, ys))
+        ys = ys[first]
         rho0, h0 = scenario.rho0_field(), scenario.h0_field()
 
         def final(y):
@@ -498,10 +523,12 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
             return micro.run_micro(state, capacity, params, grid, y=y,
                                    out_times=(T,), speed_law=speed_law)[T]
 
-    # Rows evolve in chunks small enough to stay cache-resident; rows are
+    # Rows evolve in chunks small enough to stay cache-resident, and fewer
+    # per chunk on a larger pool, so that the rows alive at once (one chunk
+    # per thread) stay about 128 whatever the CPU count; rows are
     # independent and every operation is elementwise per row, so the chunk
     # size cannot change the results.
-    chunk = 64
+    chunk = min(64, max(16, 128 // pool_size(threads, len(ys))))
     fields = map_chunks(lambda i: final(ys[i * chunk:(i + 1) * chunk]),
                         -(-len(ys) // chunk), threads)
     return _summarize(grid, np.concatenate([f.rho for f in fields])[expand],

@@ -190,6 +190,20 @@ def test_malformed_scenario_values_exit_2_and_name_key(tmp_path, capsys,
     assert key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("N, text", [
+    (1e300, "params.N = 1e+300 must lie in [1, 100000000]"),
+    # an integer literal past the float range fails the integer check
+    (10**400, "params.N must be an integer, got 1e+400"),
+], ids=["1e300", "10**400"])
+def test_huge_vehicle_count_exits_2_with_a_short_message(tmp_path, capsys, N,
+                                                         text):
+    sc = write_scenario(tmp_path, params=dict(GOOD_PARAMS, N=N))
+    assert main(["simulate", "--scenario", str(sc), "--model", "macro2",
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert text in err and len(err) < 120 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("model", ["macro1", "macro2", "micro", "particle"])
 @pytest.mark.parametrize("key", ["rho", "h"])
 def test_negative_initial_value_exits_2_and_names_key(tmp_path, capsys, key,

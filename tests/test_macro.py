@@ -16,6 +16,7 @@ from trafficflow.core import (
     speed_V,
 )
 from trafficflow.macro import (
+    LFWork,
     _lf,
     capacity_on_grid,
     cfl_check,
@@ -248,6 +249,55 @@ def test_conservative_step_equals_closure_form_bit_for_bit(n, rows, a, data,
                                         params.dt / (2 * grid.dx))
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    for arr, old in zip((rho, z, c), before):
+        assert np.array_equal(arr, old)
+
+
+def _steps(rho, z, c, params, grid, n_steps, work):
+    """The states after 1..n_steps conservative steps, or the error."""
+    states = []
+    try:
+        for _ in range(n_steps):
+            rho, z = lf_step_conservative(rho, z, C1, params, grid, c=c,
+                                          work=work)
+            states.append((rho.copy(), z.copy()))
+    except NumericalError as exc:
+        return states, str(exc)
+    return states, None
+
+
+@pytest.mark.parametrize("layout", ["row", "1xn", "64xn", "broadcast"])
+@pytest.mark.parametrize("a", [0.0, 1.0])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9),
+       courant=st.floats(0.01, 1.0), n_steps=st.integers(1, 4))
+def test_workspace_step_equals_allocating_step_bit_for_bit(layout, a, seed,
+                                                           n, courant,
+                                                           n_steps):
+    # several steps, so that both pairs of the workspace take their turn;
+    # "broadcast" starts, as run_second_order does, from one read-only row
+    # broadcast to a batch whose capacity differs per row
+    rng = np.random.default_rng(seed)
+    shape = {"row": (n,), "1xn": (1, n), "64xn": (64, n),
+             "broadcast": (n,)}[layout]
+    rho = rng.uniform(1e-3, 10.0, shape)
+    z = rho * rng.uniform(0.0, 2.0, shape)
+    c = rng.uniform(0.0, 1.0, (64, n) if layout == "broadcast" else shape)
+    if layout == "broadcast":
+        rho, z = np.broadcast_to(rho, c.shape), np.broadcast_to(z, c.shape)
+    before = rho.copy(), z.copy(), c.copy()
+    for arr in (rho, z, c):
+        arr.flags.writeable = False
+    grid = Grid1D(0.0, float(n), 1.0)
+    params = ModelParams(a=a, dt=courant)
+    work = LFWork(np.broadcast(rho, z, c).shape)
+    got = _steps(rho, z, c, params, grid, n_steps, work)
+    want = _steps(rho, z, c, params, grid, n_steps, None)
+    assert got[1] == want[1]
+    assert len(got[0]) == len(want[0])
+    for g, w in zip(got[0], want[0]):
+        for g_arr, w_arr in zip(g, w):
+            assert g_arr.shape == w_arr.shape == c.shape
+            assert g_arr.tobytes() == w_arr.tobytes()
     for arr, old in zip((rho, z, c), before):
         assert np.array_equal(arr, old)
 

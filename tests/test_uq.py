@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -343,6 +344,29 @@ def test_deduplicated_macro2_monte_carlo_matches_per_sample_runs(a):
         assert np.array_equal(getattr(stats, name), getattr(want, name)), name
 
 
+def test_constant_capacity_steps_one_row_for_every_sample():
+    # every sample has the same capacity row, so one row is stepped
+    base = accident_scenario(dx=2e-2, dt=2e-2, N=200, T=1.0)
+    sc = Scenario(grid=base.grid, params=base.params,
+                  capacity=ConstantCapacity(0.8), rho0=base.rho0,
+                  h0=base.h0, uq=base.uq)
+    stats = monte_carlo(sc, "macro2", 50, seed=3)
+    assert stats.rows_solved == 1
+    want = per_sample_summary(sc, 50, 3)
+    for name in STAT_FIELDS:
+        assert np.array_equal(getattr(stats, name), getattr(want, name)), name
+
+
+def test_distinct_rows_are_told_apart_by_their_bytes():
+    rows = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 2.0], [-0.0, 1.0],
+                     [0.0, 1.0]])
+    first, inverse = uq._distinct_rows(rows)
+    # -0.0 and 0.0 differ in their bytes, so they are stepped apart
+    assert first.tolist() == [0, 1, 3]
+    assert inverse.tolist() == [0, 1, 0, 2, 1]
+    assert rows[first][inverse].tobytes() == rows.tobytes()
+
+
 def test_monte_carlo_rejects_unsupported_model():
     sc = accident_scenario(dx=2e-2, dt=2e-2, N=200, T=1.0)
     with pytest.raises(ConfigError):
@@ -378,6 +402,24 @@ def test_pool_of_one_starts_no_thread(monkeypatch):
     monkeypatch.setattr(uq.threading, "Thread", no_thread)
     assert map_chunks(lambda i: i * i, 5, threads=1) == [0, 1, 4, 9, 16]
     assert map_chunks(lambda i: -i, 1, threads=0) == [0]
+
+
+def test_monte_carlo_rows_alive_do_not_grow_with_the_pool(monkeypatch):
+    # pool_size reports k CPUs (k - 1 threads are started, at most 7); the
+    # chunks shrink as the pool grows, so the rows stepped at once, and
+    # with them the peak of numpy's allocations, stay about fixed
+    sc = accident_scenario(dx=0.5, dt=8e-3, N=1000, T=4e-2)
+    peaks = {}
+    for k in (2, 8):
+        monkeypatch.setattr(uq, "pool_size",
+                            lambda threads, n_chunks, k=k: min(k, n_chunks))
+        tracemalloc.start()
+        try:
+            monte_carlo(sc, "micro", 512, seed=1)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] <= 1.25 * peaks[2], peaks
 
 
 def test_map_chunks_keeps_chunk_order():
@@ -455,6 +497,26 @@ def test_map_chunks_hands_out_no_chunk_after_a_failure(threads):
 # ---------------------------------------------------------------------------
 # Convergence study plumbing
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_blas_projections_match_einsum_forms(n):
+    # the Galerkin steps reconstruct with phi.T @ and project with proj @;
+    # these are the einsum forms they replaced, summed in another order
+    quad = gauss_legendre(n)
+    phi = legendre_basis(n - 1, quad.y_nodes)
+    proj, half_w = uq.projector(phi, quad), 0.5 * quad.weights
+    rng = np.random.default_rng(n)
+    modes = rng.uniform(-1.0, 1.0, (n, 500))
+    nodes = rng.uniform(-1.0, 1.0, (n, 500))
+    rate = rng.uniform(-1.0, 1.0, (1000, n))
+    for got, want in [
+            (phi.T @ modes, np.einsum("kc,kq->qc", modes, phi)),
+            (proj @ nodes, np.einsum("qc,kq,q->kc", nodes, phi, half_w)),
+            (rate @ proj.T, np.einsum("nq,kq,q->nk", rate, phi, half_w)),
+            (half_w @ nodes, np.einsum("qc,q->c", nodes, half_w))]:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
+
 
 def test_convergence_study_deterministic_capacity_is_flat_zero():
     # capacity independent of Y: micro PCE and micro MC are the same explicit
