@@ -380,25 +380,27 @@ class StatSummary:
 
 
 def _summarize(grid: Grid1D, rho: np.ndarray, h: np.ndarray,
-               rows_solved: int | None = None) -> StatSummary:
-    """Stats over the sample axis (axis 0). Median is the lower-interpolated
-    empirical quantile; the 5%/95% quantiles interpolate linearly.
-    rows_solved defaults to one row per sample."""
-    rho_q05, rho_q95 = np.quantile(rho, [0.05, 0.95], axis=0)
-    h_q05, h_q95 = np.quantile(h, [0.05, 0.95], axis=0)
+               rows_solved: int | None = None,
+               expand=slice(None)) -> StatSummary:
+    """Stats over the sample axis (axis 0) of rho[expand] and h[expand].
+    Median is the lower-interpolated empirical quantile; the 5%/95%
+    quantiles interpolate linearly. rows_solved defaults to one row per
+    sample. Each field is expanded only while its own stats are taken, so
+    one field's samples are alive at a time."""
+    def stats(x):
+        x = x[expand]
+        q05, q95 = np.quantile(x, [0.05, 0.95], axis=0)
+        return (x.shape[0], x.mean(axis=0),
+                np.quantile(x, 0.5, axis=0, method="lower"), q05, q95)
+
+    n, rho_mean, rho_median, rho_q05, rho_q95 = stats(rho)
+    _, h_mean, h_median, h_q05, h_q95 = stats(h)
     return StatSummary(
-        grid=grid,
-        n_samples=rho.shape[0],
-        rows_solved=rho.shape[0] if rows_solved is None else rows_solved,
-        rho_mean=rho.mean(axis=0),
-        rho_median=np.quantile(rho, 0.5, axis=0, method="lower"),
-        rho_q05=rho_q05,
-        rho_q95=rho_q95,
-        h_mean=h.mean(axis=0),
-        h_median=np.quantile(h, 0.5, axis=0, method="lower"),
-        h_q05=h_q05,
-        h_q95=h_q95,
-    )
+        grid=grid, n_samples=n,
+        rows_solved=n if rows_solved is None else rows_solved,
+        rho_mean=rho_mean, rho_median=rho_median, rho_q05=rho_q05,
+        rho_q95=rho_q95, h_mean=h_mean, h_median=h_median, h_q05=h_q05,
+        h_q95=h_q95)
 
 
 def sample_accident_sizes(dist: AccidentDistribution, n_samples: int,
@@ -531,9 +533,9 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
     chunk = min(64, max(16, 128 // pool_size(threads, len(ys))))
     fields = map_chunks(lambda i: final(ys[i * chunk:(i + 1) * chunk]),
                         -(-len(ys) // chunk), threads)
-    return _summarize(grid, np.concatenate([f.rho for f in fields])[expand],
-                      np.concatenate([f.h for f in fields])[expand],
-                      rows_solved=len(ys))
+    return _summarize(grid, np.concatenate([f.rho for f in fields]),
+                      np.concatenate([f.h for f in fields]),
+                      rows_solved=len(ys), expand=expand)
 
 
 # ---------------------------------------------------------------------------
