@@ -533,9 +533,10 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
     chunk = min(64, max(16, 128 // pool_size(threads, len(ys))))
     fields = map_chunks(lambda i: final(ys[i * chunk:(i + 1) * chunk]),
                         -(-len(ys) // chunk), threads)
-    return _summarize(grid, np.concatenate([f.rho for f in fields]),
-                      np.concatenate([f.h for f in fields]),
-                      rows_solved=len(ys), expand=expand)
+    rho = np.concatenate([f.rho for f in fields])
+    h = np.concatenate([f.h for f in fields])
+    del fields  # the chunks' own copies, not needed by the statistics
+    return _summarize(grid, rho, h, rows_solved=len(ys), expand=expand)
 
 
 # ---------------------------------------------------------------------------
