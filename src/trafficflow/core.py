@@ -38,8 +38,9 @@ class CFLViolationError(ConfigError):
 # Grid
 # ---------------------------------------------------------------------------
 
-def _periodic_wrap(x, x_min: float, length: float):
-    """x_min + np.mod(x - x_min, length), bit for bit, in one new array.
+def _periodic_wrap(x, x_min: float, length: float, out=None):
+    """x_min + np.mod(x - x_min, length), bit for bit, in one new array, or
+    in out: a contiguous array of x's shape that does not overlap x.
 
     numpy's float remainder is fmod plus the divisor where fmod's sign
     differs from the (positive) divisor's, so the fmod form below computes
@@ -52,10 +53,10 @@ def _periodic_wrap(x, x_min: float, length: float):
     """
     x = np.asarray(x, dtype=float)
     x_min = float(x_min) + 0.0  # -0.0 -> +0.0
-    r = np.subtract(x, x_min, out=np.empty(x.shape))
+    r = np.subtract(x, x_min, out=np.empty(x.shape) if out is None else out)
     inside = r >= 0
     inside &= r < length
-    flat = r.reshape(-1)  # a view: r is a fresh contiguous array
+    flat = r.reshape(-1)  # a view: r is contiguous
     bad = np.flatnonzero(~inside)
     rb = np.fmod(flat[bad], length)
     rb[rb < 0] += length
@@ -224,14 +225,30 @@ def _snap_times(out_times, params: ModelParams) -> dict:
     return snapped
 
 
-def integrate(state, step, observe, params: ModelParams, out_times=None,
-              emit=None):
+def first_invalid(ok: np.ndarray, reason: str, item: str, row: str = "row",
+                  error=NumericalError):
+    """None if the boolean array ok is all true, else error("<reason> at
+    <row> r, <item> i") naming its first false entry ("<row> r, " once per
+    leading axis): the result of a check (see integrate)."""
+    if ok.all():
+        return None
+    *rows, i = np.unravel_index(int(np.argmin(ok)), ok.shape)
+    where = "".join(f"{row} {int(r)}, " for r in rows)
+    return error(f"{reason} at {where}{item} {int(i)}")
+
+
+def integrate(state, step, observe, check, params: ModelParams,
+              out_times=None, emit=None):
     """Advance state to params.T; returns {time: observe(state)} at the
     output times (default 0, T/2, T).
 
     step(state, j) returns the state after step j (j = 1..n_steps), so
-    per-step random streams can be keyed on j. A NumericalError raised by a
-    step is re-raised with the step index and time in front of its message.
+    per-step random streams can be keyed on j. check(state), the model's
+    one validity rule in one vectorised pass, returns None or the
+    NumericalError naming the first bad entry (first_invalid). It runs on
+    the initial state after the t = 0 snapshot, as step 1, and on the
+    result of every step j before it is observed; its error is raised with
+    "step j (t = ...): " in front. Steps and closures check nothing.
 
     With emit, each snapshot goes to emit(time, snapshot) the moment it is
     observed, in time order, and none is kept: the returned dict is empty,
@@ -241,14 +258,18 @@ def integrate(state, step, observe, params: ModelParams, out_times=None,
     snapshots = {}
     if emit is None:
         emit = snapshots.__setitem__
+
+    def checked(state, j):
+        error = check(state)
+        if error is not None:
+            raise type(error)(f"step {j} (t = {j * params.dt:.6g}): {error}")
+        return state
+
     if 0 in out:
         emit(out[0], observe(state))
+    checked(state, 1)
     for j in range(1, params.n_steps() + 1):
-        try:
-            state = step(state, j)
-        except NumericalError as exc:
-            raise type(exc)(
-                f"step {j} (t = {j * params.dt:.6g}): {exc}") from exc
+        state = checked(step(state, j), j)
         if j in out:
             emit(out[j], observe(state))
     return snapshots
@@ -258,22 +279,13 @@ def integrate(state, step, observe, params: ModelParams, out_times=None,
 # Closures
 # ---------------------------------------------------------------------------
 
-# Each closure checks its input and calls an unchecked form (leading
-# underscore) that holds the formula; a step that has already shown its
-# input to be valid calls the unchecked form and skips the scan. The
-# unchecked forms take out=, an array to write into that must not be their
-# input, so that a step can run them without allocating.
+# Plain arithmetic (integrate's check keeps invalid states out). out=, if
+# given, lets a step run them without allocating; it must not be the input
+# of speed_V or headway_H, while the micro speed laws may overwrite theirs.
 
-def _speed_V(h, out=None):
-    return np.divide(h, np.add(h, 1.0, out=out), out=out)
-
-
-def speed_V(h):
+def speed_V(h, out=None):
     """Speed as a function of headway: V(h) = h / (h + 1)."""
-    h = np.asarray(h, dtype=float)
-    if np.any(h < 0):
-        raise ValueError("headway must be non-negative")
-    return _speed_V(h)
+    return np.divide(h, np.add(h, 1.0, out=out), out=out)
 
 
 def speed_V_prime(h):
@@ -286,46 +298,29 @@ def speed_V_second(h):
     return -2.0 / (1.0 + h) ** 3
 
 
-def _headway_H(rho, out=None):
+def headway_H(rho, out=None):
+    """Recommended headway as a function of density: H(rho) = 1 / (1 + rho)."""
     return np.divide(1.0, np.add(1.0, rho, out=out), out=out)
 
 
-def headway_H(rho):
-    """Recommended headway as a function of density: H(rho) = 1 / (1 + rho)."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("density must be non-negative")
-    return _headway_H(rho)
+def micro_speed_Vtilde(u, out=None):
+    """Microscopic speed from the occupancy ratio u = L / gap: 1 - u."""
+    return np.subtract(1.0, u, out=out)
 
 
-def micro_speed_Vtilde(u):
-    """Microscopic speed from the occupancy ratio u = L / gap."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise ValueError("occupancy ratio must be non-negative")
-    return 1.0 - u
-
-
-def micro_speed_equilibrium(u):
+def micro_speed_equilibrium(u, out=None):
     """Microscopic speed V(H(u)) from the occupancy ratio u = L / gap.
 
     Composes the macroscopic closures, so follow-the-leader runs using this
     law share their wave speeds with the macroscopic solvers; the linear law
     micro_speed_Vtilde produces roughly twice faster free-flow waves.
     """
-    return speed_V(headway_H(u))
+    return speed_V(headway_H(u), out=out)
 
 
-def _pressure(rho, params: ModelParams, out=None):
-    return np.multiply(0.5 * params.gamma * params.eta, rho, out=out)
-
-
-def pressure(rho, params: ModelParams):
+def pressure(rho, params: ModelParams, out=None):
     """Pressure closure p(rho) = (gamma/2) * eta * rho."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("density must be non-negative")
-    return _pressure(rho, params)
+    return np.multiply(0.5 * params.gamma * params.eta, rho, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -16,19 +16,14 @@ from .core import (
     Grid1D,
     MacroField,
     ModelParams,
-    NumericalError,
-    _headway_H,
-    _pressure,
-    _speed_V,
     capacity_eval,
     capacity_max,
+    first_invalid,
     headway_H,
     integrate,
     pressure,
     speed_V,
 )
-
-_RHO_GUARD = 1e-12
 
 
 def cfl_ratio(params: ModelParams, capacity: CapacitySpec,
@@ -80,13 +75,13 @@ def _lf(q: np.ndarray, flux: np.ndarray, lam: float, out=None,
     return total
 
 
-def _check_density(rho: np.ndarray, mask=None) -> None:
-    """mask: a boolean array of rho's shape for the scans (optional)."""
-    if not np.isfinite(rho, out=mask).all():
-        raise NumericalError("non-finite density from Lax-Friedrichs step")
-    if np.less(rho, -1e-12, out=mask).any():
-        raise NumericalError(
-            f"negative density {rho.min():.3e} from Lax-Friedrichs step")
+def check_second_order(rho: np.ndarray, ok=None, row: str = "row"):
+    """The check of macro2 states and of Galerkin node values (see
+    core.integrate): every density above 1e-12, which rejects NaN too, so
+    that h = z/rho - p(rho) is defined. ok: an optional boolean array to
+    compare into; row names the leading axis in the message."""
+    return first_invalid(np.greater(rho, 1e-12, out=ok), "vanishing density",
+                         "cell", row)
 
 
 def lf_step_first_order(rho: np.ndarray, capacity: CapacitySpec,
@@ -96,39 +91,35 @@ def lf_step_first_order(rho: np.ndarray, capacity: CapacitySpec,
     if c is None:
         c = capacity_on_grid(capacity, grid, y)
     flux = c * speed_V(headway_H(rho)) * rho
-    new = _lf(rho, flux, params.dt / (2 * grid.dx))
-    _check_density(new)
-    return new
+    return _lf(rho, flux, params.dt / (2 * grid.dx))
 
 
 def advection_speed(rho: np.ndarray, z: np.ndarray, c: np.ndarray,
                     params: ModelParams, out=None, tmp=None) -> np.ndarray:
     """Speed c V(h) of the second-order model in the conservative pair
-    (rho, z), with the headway h = z/rho - p(rho) floored at zero. rho must
-    be positive: both callers have just checked it, so the closures run
-    unchecked (the floored h cannot be negative either). The speed is
-    written into out, with tmp as scratch: arrays of the broadcast shape of
-    rho, z and c, allocated when not given."""
+    (rho, z), with the headway h = z/rho - p(rho) floored at zero; rho must
+    be positive (check_second_order). The speed is written into out, with
+    tmp as scratch: arrays of the broadcast shape of rho, z and c, allocated
+    when not given."""
     if out is None:
         out = np.empty(np.broadcast(rho, z, c).shape)
         tmp = np.empty_like(out)
     h = np.divide(z, rho, out=tmp)
-    h -= _pressure(rho, params, out=out)
+    h -= pressure(rho, params, out=out)
     np.maximum(h, 0.0, out=h)
-    return np.multiply(c, _speed_V(h, out=out), out=out)
+    return np.multiply(c, speed_V(h, out=out), out=out)
 
 
 class LFWork:
     """The arrays of one conservative step on a batch of a given shape,
     allocated once per run: two (rho, z) pairs that take turns as the
-    step's result, two float scratch arrays and a boolean one for the
-    scans. A step then allocates nothing, so its cost does not depend on
-    how the allocator happens to serve arrays of this size."""
+    step's result and two scratch arrays. A step then allocates nothing,
+    so its cost does not depend on how the allocator happens to serve
+    arrays of this size."""
 
     def __init__(self, shape):
         self.pairs = [(np.empty(shape), np.empty(shape)) for _ in range(2)]
         self.a, self.b = np.empty(shape), np.empty(shape)
-        self.mask = np.empty(shape, dtype=bool)
 
     def result_for(self, rho):
         """The pair that a step from the state (rho, z) writes into: the
@@ -146,15 +137,14 @@ def lf_step_conservative(rho: np.ndarray, z: np.ndarray,
     z, evaluated on the post-advection state (on the pre-advection state it
     excites the odd-even mode that the central scheme leaves undamped).
 
-    The result is written into work (an LFWork of the broadcast shape of
-    rho, z and c, allocated when not given) and is valid until the step
-    after next with the same work; rho and z are only read."""
+    rho must be positive (check_second_order). The result is written into
+    work (an LFWork of the broadcast shape of rho, z and c, allocated when
+    not given) and is valid until the step after next with the same work;
+    rho and z are only read."""
     if c is None:
         c = capacity_on_grid(capacity, grid, y)
     if work is None:
         work = LFWork(np.broadcast(rho, z, c).shape)
-    if np.less_equal(rho, _RHO_GUARD, out=work.mask).any():
-        raise NumericalError("vanishing density in conservative step")
     cv = advection_speed(rho, z, c, params, out=work.a, tmp=work.b)
     lam = params.dt / (2 * grid.dx)
     rho_new, z_new = work.result_for(rho)
@@ -162,27 +152,24 @@ def lf_step_conservative(rho: np.ndarray, z: np.ndarray,
     # scratch, and the rho flux's array as the z update's
     _lf(rho, np.multiply(cv, rho, out=work.b), lam, out=rho_new, slope=z_new)
     _lf(z, np.multiply(cv, z, out=cv), lam, out=z_new, slope=work.b)
-    _check_density(rho_new, work.mask)
     if params.a != 0.0:
         z_new += relaxation_source(rho_new, z_new, params, out=work.a,
-                                   tmp=work.b, mask=work.mask)
+                                   tmp=work.b)
     return rho_new, z_new
 
 
 def relaxation_source(rho: np.ndarray, z: np.ndarray, params: ModelParams,
-                      out=None, tmp=None, mask=None) -> np.ndarray:
+                      out=None, tmp=None) -> np.ndarray:
     """Increment dt a rho (H(rho) - h) of z over one step of the relaxation
     source, with the headway h = z/rho - p(rho). It is written into out,
-    with tmp and the boolean mask as scratch: arrays of the broadcast shape
-    of rho and z, allocated when not given."""
-    if np.less(rho, 0, out=mask).any():
-        raise ValueError("density must be non-negative")
+    with tmp as scratch: arrays of the broadcast shape of rho and z,
+    allocated when not given."""
     if out is None:
         out = np.empty(np.broadcast(rho, z).shape)
         tmp = np.empty_like(out)
     h = np.divide(z, rho, out=out)
-    h -= _pressure(rho, params, out=tmp)
-    gap = np.subtract(_headway_H(rho, out=tmp), h, out=tmp)
+    h -= pressure(rho, params, out=tmp)
+    gap = np.subtract(headway_H(rho, out=tmp), h, out=tmp)
     return np.multiply(np.multiply(params.dt * params.a, rho, out=out), gap,
                        out=out)
 
@@ -204,6 +191,8 @@ def run_first_order(rho0: np.ndarray, capacity: CapacitySpec,
         np.broadcast_to(np.asarray(rho0, dtype=float), c.shape),
         lambda rho, j: lf_step_first_order(rho, capacity, params, grid, c=c),
         lambda rho: MacroField(rho=rho, h=headway_H(rho), grid=grid),
+        lambda rho: first_invalid(np.isfinite(rho) & (rho >= -1e-12),
+                                  "negative or non-finite density", "cell"),
         params, out_times, emit)
 
 
@@ -220,6 +209,7 @@ def run_second_order(rho0: np.ndarray, h0: np.ndarray, capacity: CapacitySpec,
     rho = np.broadcast_to(np.asarray(rho0, dtype=float), c.shape)
     h = np.broadcast_to(np.asarray(h0, dtype=float), c.shape)
     work = LFWork(c.shape)
+    ok = np.empty(c.shape, dtype=bool)  # the check's comparison
 
     def observe(state):
         if state[0] is rho:  # the initial state
@@ -234,7 +224,8 @@ def run_second_order(rho0: np.ndarray, h0: np.ndarray, capacity: CapacitySpec,
         (rho, rho * (h + pressure(rho, params))),
         lambda state, j: lf_step_conservative(*state, capacity, params, grid,
                                               c=c, work=work),
-        observe, params, out_times, emit)
+        observe, lambda state: check_second_order(state[0], ok), params,
+        out_times, emit)
 
 
 run_conservative = run_second_order  # former name of the conservative runner

@@ -22,6 +22,7 @@ from .core import (
     _periodic_wrap,
     capacity_eval,
     capacity_max,
+    first_invalid,
     headway_H,
     integrate,
     micro_speed_Vtilde,
@@ -43,7 +44,8 @@ class MicroState:
         if self.L <= 0 or self.road_length <= 0:
             raise ConfigError("vehicle length and road length must be positive")
         gaps = self.gaps()
-        _check_ordering(gaps, "non-positive gap")
+        if (error := check_ordering(gaps, "non-positive gap")) is not None:
+            raise error
         total = gaps.sum()
         if abs(total - self.road_length) > 1e-9 * self.road_length:
             raise ConfigError(
@@ -116,39 +118,40 @@ def _check_euler_dt(dt: float, capacity: CapacitySpec) -> None:
             f"dt = {dt} exceeds 1 / (||c|| ||Vtilde||) for the Euler step")
 
 
-def _check_ordering(gaps: np.ndarray, what: str) -> None:
-    """OrderingViolationError naming the sample row (for batches) and the
-    vehicle of the smallest gap, unless every gap is positive."""
-    if gaps.min() <= 0:
-        *rows, vehicle = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
-        where = "".join(f"row {int(r)}, " for r in rows)
-        raise OrderingViolationError(f"{what} at {where}vehicle {vehicle}")
+def check_ordering(gaps: np.ndarray, what: str = "vehicle ordering lost",
+                   row: str = "row"):
+    """The micro model's check (see core.integrate): every gap positive,
+    else an OrderingViolationError naming the row and vehicle."""
+    return first_invalid(gaps > 0, what, "vehicle", row,
+                         OrderingViolationError)
 
 
 def _capacity_and_speed(positions: np.ndarray, L: float, x_min: float,
                         road_length: float, capacity: CapacitySpec, y,
-                        speed_law, gaps: np.ndarray | None = None):
+                        speed_law, gaps: np.ndarray | None = None,
+                        wrapped: np.ndarray | None = None):
     """Capacity c and speed of every vehicle (last axis), whose product is
-    the Euler rate. The speed law maps the occupancy ratio L / gap to a
-    speed and is floored at zero so vehicles never reverse.
+    the Euler rate. speed_law(u, out=) maps the occupancy ratio L / gap to
+    a speed, floored at zero so vehicles never reverse.
 
-    gaps, if given, holds periodic_gaps(positions) and is overwritten.
-    Nothing else is written to: positions may be a read-only broadcast
-    batch, and c a read-only broadcast view.
+    gaps, if given, holds periodic_gaps(positions) and is overwritten with
+    the speed; wrapped, if given, receives the wrapped positions. Nothing
+    else is written to: positions may be a read-only broadcast batch, and c
+    a read-only broadcast view.
     """
     if gaps is None:
         gaps = periodic_gaps(positions, road_length)
-    _check_ordering(gaps, "non-positive gap")
-    c = capacity_eval(capacity, _periodic_wrap(positions, x_min, road_length),
-                      y)
-    speed = speed_law(np.divide(L, gaps, out=gaps))
+    c = capacity_eval(capacity, _periodic_wrap(positions, x_min, road_length,
+                                               wrapped), y)
+    speed = speed_law(np.divide(L, gaps, out=gaps), out=gaps)
     return c, np.maximum(speed, 0.0, out=speed)
 
 
 def advance_positions(positions: np.ndarray, L: float, x_min: float,
                       road_length: float, capacity: CapacitySpec, dt: float,
                       y=None, speed_law=micro_speed_Vtilde,
-                      gaps: np.ndarray | None = None) -> np.ndarray:
+                      gaps: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """One explicit Euler step on an array of positions (last axis = vehicles),
     with speeds evaluated at the pre-step positions; returns
     positions + dt * c * speed, bit for bit, and leaves positions unchanged.
@@ -156,21 +159,24 @@ def advance_positions(positions: np.ndarray, L: float, x_min: float,
     gaps, if given, must hold periodic_gaps(positions); the step overwrites
     it with the gaps of the new positions, so a loop that passes the same
     array every step computes the gaps once per step and allocates none.
+    out, if given, is a contiguous array of the batch shape that overlaps
+    neither positions nor gaps; the new positions are written into it.
     """
     if gaps is None:
         gaps = periodic_gaps(positions, road_length)
     c, speed = _capacity_and_speed(positions, L, x_min, road_length,
-                                   capacity, y, speed_law, gaps)
-    new = np.multiply(c, dt)
+                                   capacity, y, speed_law, gaps, out)
+    new = np.multiply(c, dt, out=out)
     new *= speed
     new += positions
-    _check_ordering(periodic_gaps(new, road_length, out=gaps),
-                    "vehicle ordering lost")
+    periodic_gaps(new, road_length, out=gaps)
     return new
 
 
 def micro_step(state: MicroState, capacity: CapacitySpec, dt: float,
                y=None, speed_law=micro_speed_Vtilde) -> MicroState:
+    """One Euler step of a single state; the new MicroState rejects a step
+    that loses the vehicle ordering."""
     _check_euler_dt(dt, capacity)
     new = advance_positions(state.positions, state.L, state.x_min,
                             state.road_length, capacity, dt, y,
@@ -212,12 +218,16 @@ def run_micro(state: MicroState, capacity: CapacitySpec, params: ModelParams,
     if y is not None:
         y = np.asarray(y, dtype=float)[..., None]
     positions = np.broadcast_to(state.positions, shape)
-    gaps = periodic_gaps(positions, state.road_length)  # carried across steps
+    gaps = periodic_gaps(positions, state.road_length)  # updated by each step
+    # the steps alternate between the arrays of pair, so none allocates a
+    # position array (whether glibc then trimmed the heap top, and the next
+    # step faulted it back in, hung on where its temporaries landed)
+    pair = (np.empty(shape), np.empty(shape))
     return integrate(
         positions,
         lambda pos, j: advance_positions(pos, state.L, state.x_min,
                                          state.road_length, capacity,
                                          params.dt, y, speed_law=speed_law,
-                                         gaps=gaps),
+                                         gaps=gaps, out=pair[pos is pair[0]]),
         lambda pos: micro_fields(pos, state.L, grid),
-        params, out_times, emit)
+        lambda pos: check_ordering(gaps), params, out_times, emit)

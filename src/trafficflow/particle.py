@@ -25,9 +25,9 @@ from .core import (
     Grid1D,
     MacroField,
     ModelParams,
-    NumericalError,
     _periodic_wrap,
     capacity_eval,
+    first_invalid,
     headway_H,
     integrate,
     speed_V,
@@ -62,8 +62,6 @@ class ParticleEnsemble:
             raise ConfigError("X and S must be 1-D arrays of equal length")
         if self.weight <= 0:
             raise ConfigError("particle weight must be positive")
-        if np.any(s < 0):
-            raise NumericalError("negative headway in ensemble")
 
     @property
     def n(self) -> int:
@@ -140,13 +138,19 @@ def _select_partners(x_wrapped: np.ndarray, targets: np.ndarray,
     return order[pick % n]
 
 
+def _check_dt(params: ModelParams) -> None:
+    """dt and epsilon * dt are probabilities (interaction, relaxation)."""
+    if params.dt > min(1.0, 1.0 / params.epsilon) + 1e-12:
+        raise ConfigError(f"params.dt = {params.dt!r} must satisfy dt <= "
+                          f"min(1, 1/epsilon) for params.epsilon = "
+                          f"{params.epsilon!r}")
+
+
 def particle_step(ens: ParticleEnsemble, params: ModelParams,
                   capacity: CapacitySpec, grid: Grid1D,
                   rng: np.random.Generator, y=None) -> ParticleEnsemble:
+    _check_dt(params)
     dt = params.dt
-    if dt > min(1.0, 1.0 / params.epsilon) + 1e-12:
-        raise ConfigError("dt must satisfy dt <= min(1, 1/epsilon)")
-
     x, s = ens.x, ens.s
     xw = grid.wrap(x)
     c_self = capacity_eval(capacity, xw, y)
@@ -179,9 +183,6 @@ def particle_step(ens: ParticleEnsemble, params: ModelParams,
             ds = ds + np.where(xi, params.a * (headway_H(rho_local) - s), 0.0)
 
     new_s = s + ds
-    if np.any(new_s < 0):
-        raise NumericalError(
-            "negative headway after particle update; check gamma <= 1, a <= 1")
     new_x = grid.wrap(x + v_self * dt)
     return replace(ens, x=new_x, s=new_s)
 
@@ -192,9 +193,11 @@ def run_particle(ens: ParticleEnsemble, capacity: CapacitySpec,
     """Step the ensemble to params.T, binning at the requested output times;
     returns {time: MacroField} (or hands each to emit, see
     core.integrate)."""
+    _check_dt(params)
     return integrate(
         ens,
         lambda e, j: particle_step(e, params, capacity, grid,
                                    RngStream(seed, j).generator(), y),
         lambda e: bin_to_fields(e, grid),
+        lambda e: first_invalid(e.s >= 0, "negative headway", "particle"),
         params, out_times, emit)

@@ -21,7 +21,6 @@ from .core import (
     Grid1D,
     MacroField,
     ModelParams,
-    NumericalError,
     headway_H,
     integrate,
     micro_speed_Vtilde,
@@ -224,10 +223,6 @@ def pce_macro_step(modes: PceModesMacro, capacity: CapacitySpec,
 
     rho_y = phi.T @ modes.rho_hat
     z_y = phi.T @ modes.z_hat
-    if np.any(rho_y <= 1e-12):
-        node = int(np.argwhere(rho_y <= 1e-12)[0][0])
-        raise NumericalError(
-            f"non-positive reconstructed density at quadrature node {node}")
     cv = macro.advection_speed(rho_y, z_y, c_nodes, params)
 
     f_rho_hat = proj @ (cv * rho_y)
@@ -236,8 +231,6 @@ def pce_macro_step(modes: PceModesMacro, capacity: CapacitySpec,
     lam = params.dt / (2 * grid.dx)
     rho_new = macro._lf(modes.rho_hat, f_rho_hat, lam)
     z_new = macro._lf(modes.z_hat, f_z_hat, lam)
-    if not np.all(np.isfinite(rho_new)):
-        raise NumericalError("non-finite density modes")
     if params.a != 0.0:
         source = macro.relaxation_source(phi.T @ rho_new, phi.T @ z_new,
                                          params)
@@ -324,7 +317,7 @@ def expectation_from_micro_modes(modes: PceModesMicro, grid: Grid1D,
 def run_pce_macro(scenario: Scenario, n_nodes: int, K: int = 0,
                   out_times=None):
     """Galerkin propagation of the macro modes; {time: MacroField} of the
-    expectation (mode 0)."""
+    expectation (mode 0). macro2's check runs on the node densities."""
     params, grid = scenario.params, scenario.grid
     macro.cfl_check(params, scenario.capacity, grid)
     quad = gauss_legendre(n_nodes)
@@ -338,6 +331,7 @@ def run_pce_macro(scenario: Scenario, n_nodes: int, K: int = 0,
         lambda m, j: pce_macro_step(m, scenario.capacity, params, quad, grid,
                                     phi=phi, c_nodes=c_nodes, proj=proj),
         lambda m: expectation_from_macro_modes(m, params, quad, phi),
+        lambda m: macro.check_second_order(phi.T @ m.rho_hat, row="node"),
         params, out_times)
 
 
@@ -355,6 +349,9 @@ def run_pce_micro(scenario: Scenario, n_nodes: int, K: int = 0,
         lambda m, j: pce_micro_step(m, scenario.capacity, params, quad,
                                     phi=phi, speed_law=speed_law, proj=proj),
         lambda m: expectation_from_micro_modes(m, grid, params.L, quad, phi),
+        lambda m: micro.check_ordering(
+            micro.periodic_gaps((m.x_hat @ phi).T, m.road_length),
+            row="node"),
         params, out_times)
 
 

@@ -76,6 +76,17 @@ def test_cfl_violation_exits_2_and_names_ratio(tmp_path, capsys):
     assert "2" in capsys.readouterr().err
 
 
+def test_particle_dt_bound_exits_2_before_any_output(tmp_path, capsys):
+    sc = write_scenario(tmp_path, params={"dt": 0.04, "T": 1.0, "N": 400,
+                                          "L": 1 / 400, "epsilon": 50.0})
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(sc), "--model", "particle",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "params.dt" in err and "params.epsilon" in err
+    assert not out.exists()
+
+
 def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
     sc = write_scenario(tmp_path, typo_key=1)
     assert main(["simulate", "--scenario", str(sc), "--model", "macro2",

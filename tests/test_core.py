@@ -18,10 +18,13 @@ from trafficflow.core import (
     MacroField,
     ModelParams,
     NumericalError,
+    OrderingViolationError,
     PiecewiseRampCapacity,
     capacity_eval,
     capacity_max,
+    first_invalid,
     headway_H,
+    integrate,
     micro_speed_Vtilde,
     micro_speed_equilibrium,
     pressure,
@@ -44,31 +47,16 @@ def test_speed_V_values():
     assert speed_V(3.0) == 0.75
 
 
-def test_speed_V_rejects_negative():
-    with pytest.raises(ValueError):
-        speed_V(-0.1)
-
-
 def test_headway_H_values():
     assert headway_H(0.0) == 1.0
     assert headway_H(1.0) == 0.5
     assert headway_H(0.25) == 0.8
 
 
-def test_headway_H_rejects_negative():
-    with pytest.raises(ValueError):
-        headway_H(-1e-9)
-
-
 def test_micro_speed_values():
     assert micro_speed_Vtilde(0.0) == 1.0
     assert micro_speed_Vtilde(1.0) == 0.0
     assert micro_speed_Vtilde(0.4) == pytest.approx(0.6)
-
-
-def test_micro_speed_rejects_negative():
-    with pytest.raises(ValueError):
-        micro_speed_Vtilde(-0.5)
 
 
 def test_micro_speed_equilibrium_composes_closures():
@@ -116,13 +104,62 @@ def test_pressure_is_linear(rho, alpha):
 @given(arrays(np.float64, st.integers(1, 6), elements=st.floats(0.0, 1e6)),
        st.floats(0.0, 1.0), st.floats(1e-6, 1.0))
 def test_closures_keep_their_plain_formulas_bit_for_bit(x, gamma, eta):
-    # the macro2 step calls the same arithmetic through the unchecked forms
+    # the macro2 step calls these closures with out=, which keeps the
+    # formulas and their operand order
     params = ModelParams(gamma=gamma, eta=eta)
     assert speed_V(x).tobytes() == (x / (x + 1.0)).tobytes()
     assert headway_H(x).tobytes() == (1.0 / (1.0 + x)).tobytes()
     assert pressure(x, params).tobytes() == (
         0.5 * params.gamma * params.eta * x).tobytes()
     assert np.float64(speed_V(x[0])) == x[0] / (x[0] + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Checks
+# ---------------------------------------------------------------------------
+
+def test_first_invalid_names_the_first_bad_entry():
+    assert first_invalid(np.ones((2, 3), dtype=bool), "bad", "cell") is None
+    ok = np.array([[True, True, True], [True, False, False]])
+    err = first_invalid(ok, "vanishing density", "cell")
+    assert type(err) is NumericalError
+    assert str(err) == "vanishing density at row 1, cell 1"
+    err = first_invalid(ok, "vehicle ordering lost", "vehicle", row="node",
+                        error=OrderingViolationError)
+    assert type(err) is OrderingViolationError
+    assert str(err) == "vehicle ordering lost at node 1, vehicle 1"
+    assert str(first_invalid(np.array([True, False, False]), "negative "
+                             "headway", "particle")) == \
+        "negative headway at particle 1"
+
+
+def _counting_run(bad):
+    """integrate on the states 0, 1, 2, ... (one per step of 0.5, T = 2),
+    whose check rejects the state bad; the error and the observed states."""
+    seen = []
+
+    def observe(state):
+        seen.append(state)
+        return state
+
+    with pytest.raises(NumericalError) as err:
+        integrate(0, lambda state, j: state + 1, observe,
+                  lambda state: first_invalid(np.array([state != bad]),
+                                              "bad state", "cell"),
+                  ModelParams(dt=0.5, T=2.0), (0.0, 0.5, 1.0, 1.5, 2.0))
+    return str(err.value), seen
+
+
+def test_integrate_checks_the_initial_state_after_its_snapshot():
+    assert _counting_run(0) == ("step 1 (t = 0.5): bad state at cell 0", [0])
+
+
+def test_integrate_checks_every_step_before_observing_it():
+    assert _counting_run(2) == ("step 2 (t = 1): bad state at cell 0",
+                                [0, 1])
+    # the final state is checked too
+    assert _counting_run(4) == ("step 4 (t = 2): bad state at cell 0",
+                                [0, 1, 2, 3])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from trafficflow.core import (
     CFLViolationError,
+    AccidentCapacity,
     ConstantCapacity,
     Grid1D,
     ModelParams,
@@ -20,6 +21,7 @@ from trafficflow.macro import (
     _lf,
     capacity_on_grid,
     cfl_check,
+    check_second_order,
     cfl_ratio,
     lf_step_conservative,
     lf_step_first_order,
@@ -158,11 +160,18 @@ def test_grid_refinement_reduces_solution_change():
 
 def test_second_order_guards_against_vanishing_density():
     grid = Grid1D(0.0, 1.0, 0.25)
-    params = ModelParams(dt=0.1)
+    params = ModelParams(dt=0.1, T=0.1)
     rho = np.array([0.0, 0.0, 0.0, 0.0])
-    z = np.ones(4)
+    h = np.ones(4)
     with pytest.raises(NumericalError):
-        lf_step_conservative(rho, z, C1, params, grid)
+        run_second_order(rho, h, C1, params, grid)
+
+
+def test_second_order_check_rejects_vanishing_and_nan_density():
+    assert check_second_order(np.array([1e-12 * 1.01, 0.3])) is None
+    for bad in (1e-12, 0.0, -0.2, np.nan):
+        err = check_second_order(np.array([[0.1, 0.2], [0.3, bad]]))
+        assert str(err) == "vanishing density at row 1, cell 1"
 
 
 def test_pressure_enters_conservative_variable():
@@ -309,3 +318,17 @@ def test_vanishing_density_names_step_and_time():
                        match=r"^step 1 \(t = 0\.1\): vanishing density"):
         run_second_order(rho0, np.full(4, 0.5), C1,
                          ModelParams(dt=0.1, T=0.2), grid)
+
+
+def test_vanishing_density_in_a_batch_names_row_cell_step_and_time():
+    # rho = 2e-12 everywhere; row 1's accident (c = 0 on |x| <= 1) stops
+    # the traffic there, so the cell just downstream of it (cell 12)
+    # drains below the 1e-12 floor at step 4, while row 0's accident
+    # covers no cell centre and its state stays uniform
+    grid = Grid1D(-2.0, 2.0, 0.25)
+    with pytest.raises(NumericalError,
+                       match=r"^step 4 \(t = 1\): vanishing density at "
+                             r"row 1, cell 12$"):
+        run_second_order(np.full(16, 2e-12), np.ones(16),
+                         AccidentCapacity(drop=1.0),
+                         ModelParams(dt=0.25, T=2.0), grid, y=[0.1, 1.0])

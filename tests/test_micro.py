@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trafficflow.core import (
+    AccidentCapacity,
     ConfigError,
     ConstantCapacity,
     Grid1D,
@@ -16,6 +17,7 @@ from trafficflow.micro import (
     MicroState,
     OrderingViolationError,
     advance_positions,
+    check_ordering,
     micro_init_from_density,
     micro_step,
     periodic_gaps,
@@ -95,9 +97,26 @@ def test_gap_collapse_raises_ordering_violation():
 def test_ordering_violation_names_row_and_vehicle():
     # row 1 is the jam of the test above; it collapses at vehicle 0
     batch = np.array([[0.0, 1.0, 2.0], [0.0, 1.5e-4, 2.5e-4]])
+    new = advance_positions(batch, 1e-4, 0.0, 4.0, C1, 1e-3)
     with pytest.raises(OrderingViolationError,
                        match="lost at row 1, vehicle 0$"):
-        advance_positions(batch, 1e-4, 0.0, 4.0, C1, 1e-3)
+        raise check_ordering(periodic_gaps(new, 4.0))
+
+
+def test_run_micro_batch_names_the_first_collapse_of_row_1():
+    # two jams: vehicle 0 closes a 1.5 L gap at speed 1/3 and vehicle 3 a
+    # 2 L gap at speed 1/2, so both gaps turn negative in step 1, vehicle
+    # 3's more so. Row 0's accident (c = 0) covers every vehicle and holds
+    # them; row 1's covers none. The check names the first bad gap.
+    state = MicroState(positions=np.array([2.0, 2.00015, 2.00025, 2.5,
+                                           2.5002, 2.5003]),
+                       L=1e-4, x_min=-4.0, road_length=8.0)
+    params = ModelParams(dt=1e-3, T=4e-3, N=6, L=1e-4)
+    with pytest.raises(OrderingViolationError,
+                       match=r"^step 1 \(t = 0.001\): vehicle ordering lost "
+                             r"at row 1, vehicle 0$"):
+        run_micro(state, AccidentCapacity(drop=1.0), params,
+                  Grid1D(-4.0, 4.0, 0.5), y=[3.0, 1.0])
 
 
 def test_run_micro_ordering_violation_names_step_and_time():

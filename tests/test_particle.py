@@ -9,6 +9,7 @@ from trafficflow.core import (
     ConstantCapacity,
     Grid1D,
     ModelParams,
+    NumericalError,
     _periodic_wrap,
     headway_H,
     speed_V,
@@ -269,3 +270,30 @@ def test_skipped_relaxation_draws_leave_the_step_unchanged(bit_generator):
     assert np.array_equal(runs[0].x, runs[1].x)
     assert np.array_equal(runs[0].s, runs[1].s)
     assert not np.array_equal(runs[0].s, ens.s)  # interactions happened
+
+
+def test_negative_headway_names_the_particle_step_and_time():
+    # dt = epsilon dt = 1: every particle interacts and relaxes in step 1.
+    # Particle 2 (s = 50, speed near 1) meets a partner of headway 0, and
+    # relaxes towards H of a dense cell, so its headway goes below zero.
+    n = 40
+    ens = ParticleEnsemble(x=np.linspace(0.01, 0.99, n),
+                           s=np.where(np.arange(n) % 2 == 0, 50.0, 0.0),
+                           weight=1.0)
+    params = ModelParams(gamma=1.0, a=1.0, epsilon=1.0, dt=1.0, T=3.0,
+                         eta=0.25)
+    with pytest.raises(NumericalError,
+                       match=r"^step 1 \(t = 1\): negative headway at "
+                             r"particle 2$"):
+        run_particle(ens, C1, params, Grid1D(0.0, 1.0, 0.25), seed=0)
+
+
+def test_run_particle_rejects_large_dt_before_stepping():
+    ens = ParticleEnsemble(x=np.array([0.2]), s=np.array([1.0]), weight=1.0)
+    observed = []
+    with pytest.raises(ConfigError, match=r"params\.dt = 0\.04 .* "
+                                          r"params\.epsilon = 50"):
+        run_particle(ens, C1, ModelParams(epsilon=50.0, dt=0.04, T=0.08),
+                     Grid1D(0.0, 1.0, 0.5), seed=0,
+                     emit=lambda t, field: observed.append(t))
+    assert observed == []

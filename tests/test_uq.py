@@ -21,6 +21,7 @@ from trafficflow.core import (
 )
 from trafficflow import macro, micro, uq
 from trafficflow.scenario import (
+    PiecewiseProfile,
     Scenario,
     UQConfig,
     accident_scenario,
@@ -204,6 +205,17 @@ def test_pce_requires_enough_nodes():
     with pytest.raises(ConfigError):
         pce_macro_step(modes, sc.capacity, sc.params, gauss_legendre(2),
                        sc.grid)
+
+
+def test_pce_macro_zero_density_names_the_node_and_the_cell():
+    # rho0 = 0 from x = 0 on: cell 100 (centre 0.02) is the first empty one,
+    # and mode 0 alone carries rho0, so every node sees it
+    base = accident_scenario(dx=4e-2, dt=4e-2, N=500, T=1.0)
+    sc = replace(base, rho0=PiecewiseProfile((0.0, 4.0), (0.15, 0.0)))
+    with pytest.raises(NumericalError,
+                       match=r"^step 1 \(t = 0\.04\): vanishing density at "
+                             r"node 0, cell 100$"):
+        run_pce_macro(sc, n_nodes=3, K=2)
 
 
 def test_pce_single_node_equals_mean_accident_run():
