@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +24,19 @@ from .core import (
     MacroField,
     ModelParams,
     NumericalError,
+    _short_repr,
     _snap_times,
     micro_speed_Vtilde,
     micro_speed_equilibrium,
 )
 from .particle import particle_init, run_particle
-from .scenario import KNOWN_MODELS, Scenario, load_scenario
+from .scenario import (
+    KNOWN_MODELS,
+    MAX_PCE_NODES,
+    MAX_SAMPLES,
+    Scenario,
+    load_scenario,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,13 +104,16 @@ def _parse_times(arg, params: ModelParams):
     return times
 
 
-def _count(value, flag: str, minimum: int, default=None):
+def _count(value, flag: str, minimum: int, default=None, maximum=None):
     """The value of an integer flag, or default when it is not given; exit 2
-    naming the flag when it is below minimum."""
+    naming the flag when it is below minimum or above maximum."""
     if value is None:
         return default
     if value < minimum:
         raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{flag} must be at most {maximum}, got "
+                          f"{_short_repr(value)}")
     return value
 
 
@@ -217,9 +226,12 @@ def cmd_uq(args) -> int:
                           "the accident size is the random input there")
     _reject_unused_flags(args, scenario, (model,))
     speed_law = MICRO_SPEED_LAWS[args.micro_speed]
-    n_samples = _count(args.samples, "--samples", 1, scenario.uq.n_samples)
-    n_nodes = _count(args.nodes, "--nodes", 1, scenario.uq.pce_nodes)
-    order = _count(args.order, "--order", 0, scenario.uq.pce_order)
+    n_samples = _count(args.samples, "--samples", 1, scenario.uq.n_samples,
+                       MAX_SAMPLES)
+    n_nodes = _count(args.nodes, "--nodes", 1, scenario.uq.pce_nodes,
+                     MAX_PCE_NODES)
+    order = _count(args.order, "--order", 0, scenario.uq.pce_order,
+                   MAX_PCE_NODES - 1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -242,11 +254,10 @@ def cmd_uq(args) -> int:
         if scenario.uq.distribution != "uniform":
             raise ConfigError("the Galerkin expansion supports the uniform "
                               "distribution only")
-        runner = (uq.run_pce_macro if model == "macro2"
-                  else partial(uq.run_pce_micro, speed_law=speed_law))
-        fields = runner(scenario, n_nodes=n_nodes, K=order,
-                        out_times=(scenario.params.T,))
-        for t, field in sorted(fields.items()):
+        fields = uq.run_pce(scenario, model, [(n_nodes, order)],
+                            out_times=(scenario.params.T,),
+                            speed_law=speed_law)
+        for t, (field,) in sorted(fields.items()):
             output.write_fields_csv(
                 out_dir / f"pce_expectation_t{t:g}.csv", field)
         meta.update(n_nodes=n_nodes, order=order)

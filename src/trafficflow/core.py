@@ -66,9 +66,12 @@ def _periodic_wrap(x, x_min: float, length: float, out=None):
 
 
 # Largest grid and vehicle count accepted: one field of 10**8 cells, or
-# one position array of 10**8 vehicles, already takes 800 MB.
+# one position array of 10**8 vehicles, already takes 800 MB. Largest step
+# count T/dt: the longest run of the paper's studies takes 10**4 steps, and
+# 10**7 steps of even the cheapest step (about 10 us) take 100 s.
 MAX_CELLS = 10**8
 MAX_VEHICLES = 10**8
+MAX_STEPS = 10**7
 
 
 def _short_repr(x) -> str:
@@ -163,9 +166,11 @@ class ModelParams:
 
     def __post_init__(self):
         # each message starts with the field it names, so that a scenario
-        # parser can prefix it with the section ("params.gamma = ..."); gamma
-        # <= C with C = 1 for the default speed closure keeps the
-        # post-interaction headway non-negative
+        # parser can prefix it with the section ("params.gamma = ..."). The
+        # particle update s + gamma (V* - V(s)) + a (H - s) keeps headways
+        # non-negative when gamma + a <= 1 (V(s) <= s for the default speed
+        # closure), not for every gamma and a in [0, 1] checked here; the
+        # run's check rejects a negative headway
         for name in ("gamma", "a"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} = {getattr(self, name)!r} must "
@@ -178,6 +183,12 @@ class ModelParams:
         if not 1 <= self.N <= MAX_VEHICLES:
             raise ConfigError(f"N = {_short_repr(self.N)} must lie in "
                               f"[1, {MAX_VEHICLES}]")
+        # checked before any step is taken
+        steps = self.T / self.dt
+        if steps > MAX_STEPS:
+            raise ConfigError(f"dt = {self.dt!r} and T = {self.T!r} give "
+                              f"{steps:.6g} steps, more than the "
+                              f"{MAX_STEPS} allowed")
 
     def n_steps(self) -> int:
         return int(round(self.T / self.dt))
@@ -225,15 +236,17 @@ def _snap_times(out_times, params: ModelParams) -> dict:
     return snapped
 
 
-def first_invalid(ok: np.ndarray, reason: str, item: str, row: str = "row",
+def first_invalid(ok: np.ndarray, reason: str, item: str, row="row",
                   error=NumericalError):
     """None if the boolean array ok is all true, else error("<reason> at
     <row> r, <item> i") naming its first false entry ("<row> r, " once per
-    leading axis): the result of a check (see integrate)."""
+    leading axis, or, when row is a list, its entry r for a 2-D ok): the
+    result of a check (see integrate)."""
     if ok.all():
         return None
     *rows, i = np.unravel_index(int(np.argmin(ok)), ok.shape)
-    where = "".join(f"{row} {int(r)}, " for r in rows)
+    where = "".join(f"{row} {int(r)}, " if isinstance(row, str)
+                    else f"{row[int(r)]}, " for r in rows)
     return error(f"{reason} at {where}{item} {int(i)}")
 
 

@@ -49,25 +49,37 @@ def capacity_on_grid(capacity: CapacitySpec, grid: Grid1D, y=None) -> np.ndarray
     return capacity_eval(capacity, grid.centers, y)
 
 
+def _flat(a: np.ndarray, shape) -> np.ndarray:
+    """a broadcast to shape, as one flat array: a view when a is a
+    contiguous array of that shape, else a copy."""
+    return (a if a.shape == shape else np.broadcast_to(a, shape)).ravel()
+
+
 def _lf(q: np.ndarray, flux: np.ndarray, lam: float, out=None,
         slope=None) -> np.ndarray:
     """One Lax-Friedrichs update, periodic in the last axis, lam = dt/(2 dx):
     0.5 (q[i-1] + q[i+1]) - lam (f[i+1] - f[i-1]), with every operation
     paired as in the np.roll form, so the result is the same bit for bit.
-    Slices give the interior cells; the two end cells take their wrapped
-    neighbours, whose indices taken mod n also serve one and two cells.
-    Every sum and difference is written straight into its place in out
-    (the result) and slope (scratch), two arrays of the broadcast shape that
-    must overlap neither q nor flux; both are allocated when not given."""
-    n = q.shape[-1]
+
+    The interior cells of every row take one slice pair over the flat
+    batch, so numpy runs one loop for the whole batch, not one per row;
+    the pairs that straddle two rows land on the end cells of each row,
+    which then take their wrapped neighbours (indices mod n, which also
+    serve one and two cells). Every sum and difference is written straight
+    into its place in out (the result) and slope (scratch): C-contiguous
+    arrays of the broadcast shape that overlap neither q nor flux, both
+    allocated when not given."""
     total = np.empty(np.broadcast(q, flux).shape) if out is None else out
-    np.add(q[..., :-2], q[..., 2:], out=total[..., 1:-1])
+    n = total.shape[-1]
+    flat = _flat(q, total.shape)
+    np.add(flat[:-2], flat[2:], out=total.ravel()[1:-1])
     np.add(q[..., -1], q[..., 1 % n], out=total[..., 0])
     np.add(q[..., -2 % n], q[..., 0], out=total[..., -1])
     total *= 0.5
     if slope is None:
         slope = np.empty_like(total)
-    np.subtract(flux[..., 2:], flux[..., :-2], out=slope[..., 1:-1])
+    flat = _flat(flux, total.shape)
+    np.subtract(flat[2:], flat[:-2], out=slope.ravel()[1:-1])
     np.subtract(flux[..., 1 % n], flux[..., -1], out=slope[..., 0])
     np.subtract(flux[..., 0], flux[..., -2 % n], out=slope[..., -1])
     slope *= lam
@@ -75,11 +87,12 @@ def _lf(q: np.ndarray, flux: np.ndarray, lam: float, out=None,
     return total
 
 
-def check_second_order(rho: np.ndarray, ok=None, row: str = "row"):
+def check_second_order(rho: np.ndarray, ok=None, row="row"):
     """The check of macro2 states and of Galerkin node values (see
     core.integrate): every density above 1e-12, which rejects NaN too, so
     that h = z/rho - p(rho) is defined. ok: an optional boolean array to
-    compare into; row names the leading axis in the message."""
+    compare into; row names the leading axis or its rows in the message
+    (see core.first_invalid)."""
     return first_invalid(np.greater(rho, 1e-12, out=ok), "vanishing density",
                          "cell", row)
 

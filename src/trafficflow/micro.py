@@ -62,9 +62,14 @@ class MicroState:
 def periodic_gaps(positions: np.ndarray, road_length: float,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Headways s_i = x_{i+1} - x_i along the last axis, with periodic wrap;
-    written into out when given."""
-    gaps = np.empty(np.shape(positions)) if out is None else out
-    np.subtract(positions[..., 1:], positions[..., :-1], out=gaps[..., :-1])
+    written into out (C-contiguous) when given. The differences of every
+    row take one slice pair over the flat batch; the one that straddles
+    two rows lands on the last vehicle of a row, which then takes its
+    wrapped leader."""
+    positions = np.asarray(positions)
+    gaps = np.empty(positions.shape) if out is None else out
+    flat = positions.ravel()
+    np.subtract(flat[1:], flat[:-1], out=gaps.ravel()[:-1])
     gaps[..., -1] = positions[..., 0] + road_length - positions[..., -1]
     return gaps
 
@@ -119,7 +124,7 @@ def _check_euler_dt(dt: float, capacity: CapacitySpec) -> None:
 
 
 def check_ordering(gaps: np.ndarray, what: str = "vehicle ordering lost",
-                   row: str = "row"):
+                   row="row"):
     """The micro model's check (see core.integrate): every gap positive,
     else an OrderingViolationError naming the row and vehicle."""
     return first_invalid(gaps > 0, what, "vehicle", row,

@@ -51,6 +51,13 @@ class PiecewiseProfile:
         return np.asarray(self.values, dtype=float)[idx]
 
 
+# Largest uq counts accepted: 10**6 samples are 500 times the acceptance
+# runs' 2000, and 100 Gauss nodes resolve an expansion of order 99, far
+# past the node counts whose convergence the study reports (n <= 9).
+MAX_SAMPLES = 10**6
+MAX_PCE_NODES = 100
+
+
 @dataclass(frozen=True)
 class UQConfig:
     distribution: str  # "uniform" or "beta"
@@ -65,8 +72,13 @@ class UQConfig:
             raise ConfigError(f"unknown distribution {self.distribution!r}")
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigError("beta parameters must be positive")
-        if self.n_samples < 1 or self.pce_nodes < 1 or self.pce_order < 0:
-            raise ConfigError("invalid UQ sample/node/order counts")
+        for name, low, high in (("n_samples", 1, MAX_SAMPLES),
+                                ("pce_nodes", 1, MAX_PCE_NODES),
+                                ("pce_order", 0, MAX_PCE_NODES - 1)):
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ConfigError(f"uq.{name} = {_short_repr(value)} must "
+                                  f"lie in [{low}, {high}]")
 
 
 @dataclass(frozen=True)

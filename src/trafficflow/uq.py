@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,11 +141,16 @@ def legendre_basis(K: int, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PceModesMacro:
-    """Galerkin coefficients of the conservative pair (rho, z) per cell."""
+    """Galerkin coefficients of the conservative pair (rho, z) per cell,
+    one row per mode, of one run or of a GalerkinRuns batch. rho_nodes, if
+    known, holds the densities at the nodes the modes are stepped on: the
+    step that made the modes computes them for the check and the next
+    step."""
 
-    rho_hat: np.ndarray  # (K+1, n_cells)
+    rho_hat: np.ndarray  # (K+1, n_cells), or the runs' modes in turn
     z_hat: np.ndarray
     grid: Grid1D
+    rho_nodes: np.ndarray | None = None
 
     def __post_init__(self):
         if self.rho_hat.shape != self.z_hat.shape or self.rho_hat.ndim != 2:
@@ -161,12 +165,16 @@ class PceModesMacro:
 
 @dataclass(frozen=True)
 class PceModesMicro:
-    """Galerkin coefficients of the vehicle positions."""
+    """Galerkin coefficients of the vehicle positions, one column per
+    mode: of one run, or of the runs of a GalerkinRuns batch side by side.
+    x_nodes, when known, holds the positions at the quadrature nodes (one
+    column per node), as rho_nodes of PceModesMacro."""
 
-    x_hat: np.ndarray  # (N, K+1)
+    x_hat: np.ndarray  # (N, K+1), or the runs' modes in turn
     L: float
     x_min: float
     road_length: float
+    x_nodes: np.ndarray | None = None
 
     @property
     def order(self) -> int:
@@ -197,73 +205,114 @@ def projector(phi: np.ndarray, quad: Quadrature) -> np.ndarray:
     return phi * (0.5 * quad.weights)
 
 
+class GalerkinRuns:
+    """Galerkin runs stepped as one batch: run r expands to the order
+    orders[r] on the Gauss rule quads[r] (a ConfigError unless the rule has
+    more nodes than the order, raised before any basis is built), with the
+    basis phis[r] and the projector projs[r]. Its modes are the rows
+    modes[r] of the stacked modes, and its node values the rows nodes[r]
+    (columns, in micro's arrays of one row per vehicle) of the stacked node
+    values, whose mapped nodes are y_nodes and names node_names."""
+
+    def __init__(self, quads, orders):
+        for quad, K in zip(quads, orders):
+            if K + 1 > quad.n:
+                raise ConfigError(f"order {K} needs at least {K + 1} "
+                                  f"quadrature nodes, got {quad.n}")
+        self.quads = tuple(quads)
+        self.phis = [legendre_basis(K, q.y_nodes)
+                     for q, K in zip(quads, orders)]
+        self.projs = [projector(phi, q) for phi, q in zip(self.phis, quads)]
+        self.modes, self.nodes = (
+            [slice(end - n, end) for n, end in zip(sizes, np.cumsum(sizes))]
+            for sizes in ([K + 1 for K in orders], [q.n for q in quads]))
+        self.y_nodes = np.concatenate([q.y_nodes for q in quads])
+        self.node_names = [f"node {i}" if len(quads) == 1 else
+                           f"run n = {q.n}, node {i}"
+                           for q in quads for i in range(q.n)]
+
+    def to_nodes(self, modes: np.ndarray) -> np.ndarray:
+        """Node values of stacked macro modes: phi.T @ modes per run."""
+        out = np.empty((len(self.y_nodes), modes.shape[1]))
+        for phi, m, q in zip(self.phis, self.modes, self.nodes):
+            np.matmul(phi.T, modes[m], out=out[q])
+        return out
+
+    def to_modes(self, values: np.ndarray) -> np.ndarray:
+        """Projection of stacked macro node values: proj @ values per run."""
+        out = np.empty((self.modes[-1].stop, values.shape[1]))
+        for proj, m, q in zip(self.projs, self.modes, self.nodes):
+            np.matmul(proj, values[q], out=out[m])
+        return out
+
+    def vehicle_nodes(self, x_hat: np.ndarray) -> np.ndarray:
+        """Node positions of micro modes side by side: x_hat @ phi per
+        run, one column per node."""
+        out = np.empty((len(x_hat), len(self.y_nodes)))
+        for phi, m, q in zip(self.phis, self.modes, self.nodes):
+            np.matmul(x_hat[:, m], phi, out=out[:, q])
+        return out
+
+
 def pce_macro_step(modes: PceModesMacro, capacity: CapacitySpec,
-                   params: ModelParams, quad: Quadrature, grid: Grid1D,
-                   phi: np.ndarray | None = None,
-                   c_nodes: np.ndarray | None = None,
-                   proj: np.ndarray | None = None) -> PceModesMacro:
-    """One Lax-Friedrichs step of the Galerkin system.
+                   params: ModelParams, quad, grid: Grid1D,
+                   c_nodes: np.ndarray | None = None) -> PceModesMacro:
+    """One Lax-Friedrichs step of the Galerkin system: of one run (quad a
+    Quadrature) or of a batch (quad the GalerkinRuns of the stacked modes).
 
-    Fluxes are reconstructed at the mapped quadrature nodes y_q (the capacity
-    is evaluated at c(x; y_q) there) and projected back onto the basis; so is
-    the relaxation source of the deterministic step, from the node
-    reconstructions of the post-advection modes. Reconstruction and
-    projection are matrix products (phi.T @, proj @), which may round
-    differently from a sum in another order, by about 1e-16 relative.
+    Fluxes are reconstructed at the mapped quadrature nodes y_q (the
+    capacity is evaluated at c(x; y_q) there, c_nodes if given) and
+    projected back onto the basis; so is the relaxation source of the
+    deterministic step, from the node reconstructions of the
+    post-advection modes. Reconstruction and projection are one matrix
+    product per run (phi.T @, proj @), which may round differently from a
+    sum in another order, by about 1e-16 relative; the elementwise rest
+    runs once on the stack. The result carries its node densities.
     """
-    K = modes.order
-    if K + 1 > quad.n:
-        raise ConfigError("quadrature must have at least K+1 nodes")
-    if phi is None:
-        phi = legendre_basis(K, quad.y_nodes)
+    runs = quad if isinstance(quad, GalerkinRuns) else \
+        GalerkinRuns((quad,), (modes.order,))
     if c_nodes is None:
-        c_nodes = macro.capacity_on_grid(capacity, grid, quad.y_nodes)
-    if proj is None:
-        proj = projector(phi, quad)
-
-    rho_y = phi.T @ modes.rho_hat
-    z_y = phi.T @ modes.z_hat
+        c_nodes = macro.capacity_on_grid(capacity, grid, runs.y_nodes)
+    rho_y = modes.rho_nodes
+    if rho_y is None:
+        rho_y = runs.to_nodes(modes.rho_hat)
+    z_y = runs.to_nodes(modes.z_hat)
     cv = macro.advection_speed(rho_y, z_y, c_nodes, params)
 
-    f_rho_hat = proj @ (cv * rho_y)
-    f_z_hat = proj @ (cv * z_y)
-
     lam = params.dt / (2 * grid.dx)
-    rho_new = macro._lf(modes.rho_hat, f_rho_hat, lam)
-    z_new = macro._lf(modes.z_hat, f_z_hat, lam)
+    rho_new = macro._lf(modes.rho_hat, runs.to_modes(cv * rho_y), lam)
+    z_new = macro._lf(modes.z_hat, runs.to_modes(cv * z_y), lam)
+    rho_y = runs.to_nodes(rho_new)
     if params.a != 0.0:
-        source = macro.relaxation_source(phi.T @ rho_new, phi.T @ z_new,
-                                         params)
-        z_new += proj @ source
-    return PceModesMacro(rho_hat=rho_new, z_hat=z_new, grid=grid)
+        z_new += runs.to_modes(macro.relaxation_source(
+            rho_y, runs.to_nodes(z_new), params))
+    return PceModesMacro(rho_hat=rho_new, z_hat=z_new, grid=grid,
+                         rho_nodes=rho_y)
 
 
 def pce_micro_step(modes: PceModesMicro, capacity: CapacitySpec,
-                   params: ModelParams, quad: Quadrature,
-                   phi: np.ndarray | None = None,
-                   speed_law=micro_speed_Vtilde,
-                   proj: np.ndarray | None = None) -> PceModesMicro:
-    """Explicit Euler on position modes; the Euler rates are reconstructed
-    at the nodes as in the deterministic step, with the follow-the-leader law
-    speed_law, and projected with proj (see pce_macro_step)."""
-    K = modes.order
-    if K + 1 > quad.n:
-        raise ConfigError("quadrature must have at least K+1 nodes")
-    if phi is None:
-        phi = legendre_basis(K, quad.y_nodes)
-    if proj is None:
-        proj = projector(phi, quad)
-
-    x_y = modes.x_hat @ phi  # (N, n)
+                   params: ModelParams, quad,
+                   speed_law=micro_speed_Vtilde) -> PceModesMicro:
+    """Explicit Euler on position modes, of one run or of a batch (see
+    pce_macro_step); the Euler rates are reconstructed at the nodes as in
+    the deterministic step, with the follow-the-leader law speed_law, and
+    projected with each run's projector. The result carries its node
+    positions (x_nodes)."""
+    runs = quad if isinstance(quad, GalerkinRuns) else \
+        GalerkinRuns((quad,), (modes.order,))
+    x_y = modes.x_nodes
+    if x_y is None:
+        x_y = runs.vehicle_nodes(modes.x_hat)
     # one row of vehicles per node: transposed views of the (N, n) layout
     c, speed = micro._capacity_and_speed(
         x_y.T, modes.L, modes.x_min, modes.road_length, capacity,
-        quad.y_nodes[:, None], speed_law)
+        runs.y_nodes[:, None], speed_law)
     rate = c.T * speed.T  # (N, n)
-    xdot_hat = rate @ proj.T
-    return PceModesMicro(x_hat=modes.x_hat + params.dt * xdot_hat,
-                         L=modes.L, x_min=modes.x_min,
-                         road_length=modes.road_length)
+    xdot_hat = np.empty_like(modes.x_hat)
+    for proj, m, q in zip(runs.projs, runs.modes, runs.nodes):
+        np.matmul(rate[:, q], proj.T, out=xdot_hat[:, m])
+    x_hat = modes.x_hat + params.dt * xdot_hat
+    return replace(modes, x_hat=x_hat, x_nodes=runs.vehicle_nodes(x_hat))
 
 
 def expectation_from_macro_modes(modes: PceModesMacro, params: ModelParams,
@@ -314,45 +363,71 @@ def expectation_from_micro_modes(modes: PceModesMicro, grid: Grid1D,
     return MacroField(rho=rho, h=h, grid=grid)
 
 
+def run_pce(scenario: Scenario, model: str, runs, out_times=None,
+            speed_law=micro_speed_Vtilde):
+    """Galerkin propagation of the runs [(n_nodes, K), ...] of the model
+    (macro2 or micro, with micro's follow-the-leader law speed_law) in one
+    core.integrate loop on stacked arrays (GalerkinRuns): {time: [the
+    expectation MacroField of each run]}. The check sees the node values
+    of every run at once; its error names the node (and its run's n)."""
+    params, grid, capacity = scenario.params, scenario.grid, scenario.capacity
+    if model not in ("micro", "macro2"):
+        raise ConfigError("the Galerkin runs support the micro and macro2 "
+                          "models")
+    if model == "macro2":
+        macro.cfl_check(params, capacity, grid)
+    orders = [K for _, K in runs]
+    batch = GalerkinRuns([gauss_legendre(n) for n, _ in runs], orders)
+    each = list(zip(batch.quads, batch.phis, batch.modes))
+
+    if model == "macro2":
+        c_nodes = macro.capacity_on_grid(capacity, grid, batch.y_nodes)
+        inits = [pce_macro_init(scenario.rho0_field(), scenario.h0_field(),
+                                K, params, grid) for K in orders]
+        rho_hat = np.concatenate([m.rho_hat for m in inits])
+        return integrate(
+            PceModesMacro(rho_hat, np.concatenate([m.z_hat for m in inits]),
+                          grid, batch.to_nodes(rho_hat)),
+            lambda m, j: pce_macro_step(m, capacity, params, batch, grid,
+                                        c_nodes=c_nodes),
+            lambda m: [expectation_from_macro_modes(
+                PceModesMacro(m.rho_hat[r], m.z_hat[r], grid), params, quad,
+                phi) for quad, phi, r in each],
+            lambda m: macro.check_second_order(m.rho_nodes,
+                                               row=batch.node_names),
+            params, out_times)
+
+    state = micro_init_from_density(scenario.rho0, params.N, params.L, grid)
+    x_hat = np.concatenate([pce_micro_init(state.positions, K, params.L,
+                                           grid.x_min, grid.length).x_hat
+                            for K in orders], axis=1)
+    return integrate(
+        PceModesMicro(x_hat, params.L, grid.x_min, grid.length,
+                      batch.vehicle_nodes(x_hat)),
+        lambda m, j: pce_micro_step(m, capacity, params, batch,
+                                    speed_law=speed_law),
+        lambda m: [expectation_from_micro_modes(
+            replace(m, x_hat=m.x_hat[:, r], x_nodes=None), grid, params.L,
+            quad, phi) for quad, phi, r in each],
+        lambda m: micro.check_ordering(
+            micro.periodic_gaps(m.x_nodes.T, m.road_length),
+            row=batch.node_names),
+        params, out_times)
+
+
 def run_pce_macro(scenario: Scenario, n_nodes: int, K: int = 0,
                   out_times=None):
-    """Galerkin propagation of the macro modes; {time: MacroField} of the
-    expectation (mode 0). macro2's check runs on the node densities."""
-    params, grid = scenario.params, scenario.grid
-    macro.cfl_check(params, scenario.capacity, grid)
-    quad = gauss_legendre(n_nodes)
-    phi = legendre_basis(K, quad.y_nodes)
-    proj = projector(phi, quad)
-    c_nodes = macro.capacity_on_grid(scenario.capacity, grid, quad.y_nodes)
-    modes = pce_macro_init(scenario.rho0_field(), scenario.h0_field(), K,
-                           params, grid)
-    return integrate(
-        modes,
-        lambda m, j: pce_macro_step(m, scenario.capacity, params, quad, grid,
-                                    phi=phi, c_nodes=c_nodes, proj=proj),
-        lambda m: expectation_from_macro_modes(m, params, quad, phi),
-        lambda m: macro.check_second_order(phi.T @ m.rho_hat, row="node"),
-        params, out_times)
+    """run_pce of the one macro2 run (n_nodes, K): {time: MacroField}."""
+    fields = run_pce(scenario, "macro2", [(n_nodes, K)], out_times)
+    return {t: field for t, (field,) in fields.items()}
 
 
 def run_pce_micro(scenario: Scenario, n_nodes: int, K: int = 0,
                   out_times=None, speed_law=micro_speed_Vtilde):
-    params, grid = scenario.params, scenario.grid
-    quad = gauss_legendre(n_nodes)
-    phi = legendre_basis(K, quad.y_nodes)
-    proj = projector(phi, quad)
-    state = micro_init_from_density(scenario.rho0, params.N, params.L, grid)
-    modes = pce_micro_init(state.positions, K, params.L, grid.x_min,
-                           grid.length)
-    return integrate(
-        modes,
-        lambda m, j: pce_micro_step(m, scenario.capacity, params, quad,
-                                    phi=phi, speed_law=speed_law, proj=proj),
-        lambda m: expectation_from_micro_modes(m, grid, params.L, quad, phi),
-        lambda m: micro.check_ordering(
-            micro.periodic_gaps((m.x_hat @ phi).T, m.road_length),
-            row="node"),
-        params, out_times)
+    """run_pce of the one micro run (n_nodes, K): {time: MacroField}."""
+    fields = run_pce(scenario, "micro", [(n_nodes, K)], out_times,
+                     speed_law)
+    return {t: field for t, (field,) in fields.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -578,19 +653,13 @@ def pce_convergence_study(scenario: Scenario, model: str,
     truncation bias instead of converging to the Monte Carlo mean. speed_law
     is the follow-the-leader law of the micro model.
     """
+    T = scenario.params.T
+    fields = run_pce(scenario, model, [(n, n - 1) for n in n_list],
+                     out_times=(T,), speed_law=speed_law)[T]
     grid = scenario.grid
-    runner = (run_pce_macro if model == "macro2"
-              else partial(run_pce_micro, speed_law=speed_law))
-    l2_rho, l2_h = [], []
-    for n in n_list:
-        fields = runner(scenario, n_nodes=n, K=n - 1,
-                        out_times=(scenario.params.T,))
-        f = fields[scenario.params.T]
-        l2_rho.append(_l2(f.rho, reference.rho_mean, grid))
-        l2_h.append(_l2(f.h, reference.h_mean, grid))
+    l2_rho = np.array([_l2(f.rho, reference.rho_mean, grid) for f in fields])
+    l2_h = np.array([_l2(f.h, reference.h_mean, grid) for f in fields])
     n_arr = np.asarray(n_list, dtype=float)
-    l2_rho = np.asarray(l2_rho)
-    l2_h = np.asarray(l2_h)
     return ConvergenceResult(n_nodes=n_arr, l2_rho=l2_rho, l2_h=l2_h,
                              rate_rho=_fit_rate(n_arr, l2_rho),
                              rate_h=_fit_rate(n_arr, l2_h))

@@ -369,6 +369,10 @@ def test_uq_rejects_inapplicable_or_invalid_flags(tmp_path, capsys):
     (["uq", "mc", "--samples", "0"], "--samples"),
     (["uq", "pce", "--nodes", "0"], "--nodes"),
     (["uq", "pce", "--order", "-1"], "--order"),
+    (["uq", "mc", "--samples", str(10**6 + 1)], "--samples"),
+    (["uq", "convergence", "--samples", "1" + "0" * 300], "--samples"),
+    (["uq", "pce", "--nodes", "101"], "--nodes"),
+    (["uq", "pce", "--order", "100"], "--order"),
     (["uq", "mc", "--threads", "-5"], "--threads"),
     (["simulate", "--model", "macro2", "--threads", "-1"], "--threads"),
     (["simulate", "--model", "particle", "--seed", "-1"], "--seed"),
@@ -605,3 +609,50 @@ def test_numerical_failure_keeps_the_snapshots_already_written(tmp_path,
                  "--out", str(out)]) == 3
     assert "step 1" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["fields_t0.csv"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_samples", 10**6 + 1), ("pce_nodes", 1e300), ("pce_order", 100)])
+def test_uq_counts_over_their_bound_exit_2_naming_the_key(tmp_path, capsys,
+                                                          key, value):
+    sc = write_scenario(tmp_path, capacity={"variant": "accident"},
+                        uq={"distribution": "uniform", key: value})
+    assert main(["uq", "pce", "--scenario", str(sc),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"uq.{key} = " in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_step_count_over_its_bound_exits_2_before_stepping(tmp_path,
+                                                           capsys):
+    # 10**12 steps of 1e-12: without the bound this run steps for ever
+    sc = write_scenario(tmp_path, params={"dt": 1e-12, "T": 1.0, "N": 400,
+                                          "L": 1 / 400})
+    assert main(["simulate", "--scenario", str(sc), "--model", "macro1",
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "params.dt = 1e-12 and T = 1.0 give 1e+12 steps" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_failing_galerkin_study_names_step_time_run_node_and_cell(tmp_path,
+                                                                  capsys):
+    # a near-empty road (rho = 1.5e-12) from x = 2 on: the one Monte Carlo
+    # sample (Y = 2.27) runs through, but the accident's exit at the upper
+    # nodes of the n >= 3 runs drains a cell below the 1e-12 the check asks
+    sc = write_scenario(
+        tmp_path, capacity={"variant": "accident"},
+        domain={"xmin": -4.0, "xmax": 4.0, "dx": 1.6e-2},
+        params={"dt": 8e-3, "T": 0.8, "N": 1000, "L": 1e-3},
+        initial={"rho": [{"x_lt": 2.0, "value": 0.15},
+                         {"x_lt": 4.0, "value": 1.5e-12}],
+                 "h": [{"x_lt": 0.0, "value": 0.8},
+                       {"x_lt": 4.0, "value": 0.95}]})
+    out = tmp_path / "conv"
+    assert main(["uq", "convergence", "--scenario", str(sc), "--samples",
+                 "1", "--seed", "0", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: step 44 (t = 0.352): vanishing density at "
+        "run n = 3, node 2, cell 423\n")
+    assert not (out / "convergence.csv").exists()
+

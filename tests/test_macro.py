@@ -29,6 +29,7 @@ from trafficflow.macro import (
     run_second_order,
     total_mass,
 )
+from trafficflow.micro import periodic_gaps
 from trafficflow.scenario import paper_comparison_scenario
 
 C1 = ConstantCapacity(1.0)
@@ -212,6 +213,46 @@ def test_lf_update_equals_roll_form_bit_for_bit(inputs, lam):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(q, before[0]) and np.array_equal(flux, before[1])
+
+
+@st.composite
+def flat_batches(draw):
+    """(a, b): two arrays of 1 to 70 rows of 1, 2, 3 or 500 cells, each
+    contiguous or one row broadcast to every row, with NaN or +-inf
+    written into some rows."""
+    shape = (draw(st.integers(1, 70)), draw(st.sampled_from([1, 2, 3, 500])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specials = [np.nan, np.inf, -np.inf]
+    out = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            a = rng.uniform(-1e6, 1e6, shape)
+            for r in draw(st.lists(st.integers(0, shape[0] - 1),
+                                   max_size=3)):
+                a[r, rng.integers(shape[1])] = rng.choice(specials)
+        else:
+            a = np.broadcast_to(rng.uniform(-1e6, 1e6, shape[1]), shape)
+        out.append(a)
+    return out
+
+
+@given(flat_batches(), st.floats(0.0, 1.0))
+def test_flat_batch_stencils_equal_their_per_row_forms_bit_for_bit(
+        batch, lam):
+    # _lf and periodic_gaps run their interior slices over the flattened
+    # batch; a 1-D row takes the same slices as the row-by-row form
+    q, flux = batch
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _lf(q, flux, lam)
+        want = np.stack([_lf(qr, fr, lam) for qr, fr in zip(q, flux)])
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == _roll_lf(q, flux, lam).tobytes()
+        got = periodic_gaps(q, 8.0)
+        want = np.stack([periodic_gaps(row, 8.0) for row in q])
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.concatenate(
+            [np.diff(q, axis=-1), q[:, :1] + 8.0 - q[:, -1:]],
+            axis=-1).tobytes()
 
 
 def _reference_conservative_step(rho, z, c, params, lam):

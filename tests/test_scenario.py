@@ -126,7 +126,10 @@ def test_integer_too_long_to_convert_is_invalid_json(tmp_path):
     ("params", "epsilon", -1.0), ("params", "a", 2.0),
     ("params", "dt", 0.0), ("params", "T", -1.0), ("params", "L", 0.0),
     ("params", "N", 0), ("params", "N", 10**8 + 1),
-    ("capacity", "c0", -0.5),
+    ("params", "dt", 1e-12), ("capacity", "c0", -0.5),
+    ("uq", "n_samples", 0), ("uq", "n_samples", 10**6 + 1),
+    ("uq", "pce_nodes", 0), ("uq", "pce_nodes", 101),
+    ("uq", "pce_order", -1), ("uq", "pce_order", 100),
 ])
 def test_out_of_range_values_name_their_key_path(section, key, value):
     doc = valid_doc()

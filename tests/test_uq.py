@@ -537,3 +537,40 @@ def test_convergence_study_deterministic_capacity_is_flat_zero():
     ref = monte_carlo(sc, "micro", 2, seed=0)
     res = pce_convergence_study(sc, "micro", ref, n_list=(1, 2, 3))
     assert np.all(res.l2_rho <= 1e-12)
+
+
+@pytest.mark.parametrize("model, a", [("macro2", 0.0), ("macro2", 1.0),
+                                      ("micro", 0.0)])
+def test_convergence_study_equals_separate_single_runs(model, a):
+    # the study steps its five runs as one stacked batch; every run's
+    # expectation, and so every error, is the one its own run gives
+    base = accident_scenario(dx=4e-2, dt=2e-2, N=200, T=0.4)
+    sc = replace(base, params=replace(base.params, a=a))
+    ref = monte_carlo(sc, model, 8, seed=1)
+    res = pce_convergence_study(sc, model, ref)
+    T, runner = 0.4, run_pce_macro if model == "macro2" else run_pce_micro
+    singles = [runner(sc, n_nodes=n, K=n - 1, out_times=(T,))[T]
+               for n in (1, 3, 5, 7, 9)]
+    batch = uq.run_pce(sc, model, [(n, n - 1) for n in (1, 3, 5, 7, 9)],
+                       out_times=(T,))[T]
+    for got, want in zip(batch, singles, strict=True):
+        assert got.rho.tobytes() == want.rho.tobytes()
+        assert got.h.tobytes() == want.h.tobytes()
+    for name, field in (("l2_rho", "rho"), ("l2_h", "h")):
+        want = [uq._l2(getattr(f, field), getattr(ref, f"{field}_mean"),
+                       sc.grid) for f in singles]
+        assert getattr(res, name).tolist() == want
+
+
+def test_galerkin_errors_name_the_run_and_its_node():
+    # nodes are numbered within their run; a batch of several runs names
+    # the run by its node count
+    runs = uq.GalerkinRuns([gauss_legendre(n) for n in (1, 3, 5)], (0, 2, 4))
+    assert [runs.node_names[r] for r in (0, 1, 3, 4, 8)] == [
+        "run n = 1, node 0", "run n = 3, node 0", "run n = 3, node 2",
+        "run n = 5, node 0", "run n = 5, node 4"]
+    one = uq.GalerkinRuns([gauss_legendre(3)], (1,))
+    assert one.node_names == ["node 0", "node 1", "node 2"]
+    with pytest.raises(ConfigError, match="order 3 needs at least 4"):
+        uq.GalerkinRuns([gauss_legendre(3)], (3,))
+

@@ -10,8 +10,10 @@ outside both checkouts): work/scenarios/ holds the scenario files, and
 work/<side>/<name>/ the outputs of each command. The list covers the
 benchmark's commands (taken from perfbench/workloads.py of --change),
 `uq mc` and `uq convergence` for macro2 and micro at --threads 1 and 7,
-`simulate` for all four models, `compare` on the accident, ramp and
-constant capacities at a = 0 and 1, one run per model that exits 3, and
+`uq pce` for both at (nodes, order) = (1, 0), (3, 1), (5, 4) and (9, 8)
+and a = 0 and 1, `simulate` for all four models, `compare` on the
+accident, ramp and constant capacities at a = 0 and 1, one run per model
+that exits 3 (and a Galerkin step and a convergence study that do), and
 the particle dt bound (exit 2). In stderr the output root and the
 checkout of each side are replaced by <root> and <checkout>, so that the
 two sides can be compared. Prints one line
@@ -81,6 +83,12 @@ def commands(change: Path) -> list:
                              ["uq", mode, "--model", model, "--samples",
                               str(MC_SAMPLES), "--seed", "2", "--threads",
                               threads]))
+        for a in (0.0, 1.0):
+            for nodes, order in ((1, 0), (3, 1), (5, 4), (9, 8)):
+                runs.append((f"uq_pce_{model}_a{a:g}_n{nodes}_k{order}",
+                             _variant(ACCIDENT, params={"a": a}),
+                             ["uq", "pce", "--model", model, "--nodes",
+                              str(nodes), "--order", str(order)]))
     for model in ("macro1", "macro2", "micro", "particle"):
         runs.append((f"simulate_{model}", SIMULATE,
                      ["simulate", "--model", model, "--seed", "3"]))
@@ -95,11 +103,15 @@ def commands(change: Path) -> list:
                          + extra))
 
     # runs that exit 3: a density whose neighbour sum overflows (macro1), an
-    # empty half of the road (macro2 and its Galerkin step), a jam that a
-    # fast follower runs into (micro; N L is the mass, so rho = L / gap),
-    # and a headway that interaction and relaxation in one step drive below
-    # zero (particle)
+    # empty half of the road (macro2 and its Galerkin step), a near-empty
+    # road from x = 2 on that the accident's exit drains at the upper
+    # Galerkin nodes, though not in the one Monte Carlo sample (the
+    # convergence study), a jam that a fast follower runs into (micro; N L
+    # is the mass, so rho = L / gap), and a headway that interaction and
+    # relaxation in one step drive below zero (particle)
     huge = {"rho": [{"x_lt": 4.0, "value": 1e308}], "h": INITIAL["h"]}
+    drained = {"rho": [{"x_lt": 2.0, "value": 0.15},
+                       {"x_lt": 4.0, "value": 1.5e-12}], "h": INITIAL["h"]}
     empty = {"rho": [{"x_lt": 0.0, "value": 0.0},
                      {"x_lt": 4.0, "value": 0.1}], "h": INITIAL["h"]}
     jam = {"rho": [{"x_lt": 0.0, "value": 0.05},
@@ -115,6 +127,9 @@ def commands(change: Path) -> list:
          _variant(ACCIDENT, initial=empty), ["uq", "pce", "--model",
                                              "macro2", "--nodes", "3",
                                              "--order", "2"]),
+        ("exit3_convergence_macro2", _variant(ACCIDENT, initial=drained),
+         ["uq", "convergence", "--model", "macro2", "--samples", "1",
+          "--seed", "0"]),
         ("exit3_micro", _variant(SIMULATE, initial=jam,
                                  params={"N": 100, "L": 0.042, "dt": 1.0,
                                          "T": 2.0}),
