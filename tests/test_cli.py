@@ -369,10 +369,6 @@ def test_uq_rejects_inapplicable_or_invalid_flags(tmp_path, capsys):
     (["uq", "mc", "--samples", "0"], "--samples"),
     (["uq", "pce", "--nodes", "0"], "--nodes"),
     (["uq", "pce", "--order", "-1"], "--order"),
-    (["uq", "mc", "--samples", str(10**6 + 1)], "--samples"),
-    (["uq", "convergence", "--samples", "1" + "0" * 300], "--samples"),
-    (["uq", "pce", "--nodes", "101"], "--nodes"),
-    (["uq", "pce", "--order", "100"], "--order"),
     (["uq", "mc", "--threads", "-5"], "--threads"),
     (["simulate", "--model", "macro2", "--threads", "-1"], "--threads"),
     (["simulate", "--model", "particle", "--seed", "-1"], "--seed"),
@@ -380,6 +376,10 @@ def test_uq_rejects_inapplicable_or_invalid_flags(tmp_path, capsys):
     (["uq", "mc", "--seed", "-1"], "--seed"),
     (["uq", "pce", "--seed", "-1"], "--seed"),
     (["uq", "convergence", "--seed", "-2"], "--seed"),
+    (["uq", "mc", "--samples", str(10**6 + 1)], "--samples"),
+    (["uq", "convergence", "--samples", "1" + "0" * 300], "--samples"),
+    (["uq", "pce", "--nodes", "101"], "--nodes"),
+    (["uq", "pce", "--order", "100"], "--order"),
 ])
 def test_bad_counts_exit_2_and_name_flag(tmp_path, capsys, argv, flag):
     sc = write_scenario(tmp_path, capacity={"variant": "accident"})
@@ -655,4 +655,3 @@ def test_failing_galerkin_study_names_step_time_run_node_and_cell(tmp_path,
         "numerical failure: step 44 (t = 0.352): vanishing density at "
         "run n = 3, node 2, cell 423\n")
     assert not (out / "convergence.csv").exists()
-

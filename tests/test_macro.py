@@ -222,17 +222,14 @@ def flat_batches(draw):
     written into some rows."""
     shape = (draw(st.integers(1, 70)), draw(st.sampled_from([1, 2, 3, 500])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    specials = [np.nan, np.inf, -np.inf]
     out = []
     for _ in range(2):
-        if draw(st.booleans()):
-            a = rng.uniform(-1e6, 1e6, shape)
-            for r in draw(st.lists(st.integers(0, shape[0] - 1),
-                                   max_size=3)):
-                a[r, rng.integers(shape[1])] = rng.choice(specials)
-        else:
-            a = np.broadcast_to(rng.uniform(-1e6, 1e6, shape[1]), shape)
-        out.append(a)
+        rows = draw(st.sampled_from([1, shape[0]]))
+        a = rng.uniform(-1e6, 1e6, (rows, shape[1]))
+        for r in draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+            a[r, rng.integers(shape[1])] = draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+        out.append(np.broadcast_to(a, shape))
     return out
 
 

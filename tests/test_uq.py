@@ -573,4 +573,3 @@ def test_galerkin_errors_name_the_run_and_its_node():
     assert one.node_names == ["node 0", "node 1", "node 2"]
     with pytest.raises(ConfigError, match="order 3 needs at least 4"):
         uq.GalerkinRuns([gauss_legendre(3)], (3,))
-
