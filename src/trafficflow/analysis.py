@@ -1,9 +1,6 @@
 """Eigenstructure, rarefaction curves and Rankine-Hugoniot residuals for the
-3x3 quasilinear system in the variables U = (rho, h, c).
-
-The speed closure is pluggable: every operation accepts V (and derivatives)
-so alternative closures satisfying the monotonicity assumptions can be
-analysed; defaults are the rational closure of the traffic model.
+3x3 quasilinear system in the variables U = (rho, h, c), with the rational
+speed closure V of the traffic model (core.speed_V and its derivatives).
 """
 
 from __future__ import annotations
@@ -45,11 +42,10 @@ class EigenDecomp:
     strictly_hyperbolic: bool
 
 
-def quasilinear_matrix(u: StateUHC, params: ModelParams, V=speed_V,
-                       dV=speed_V_prime) -> np.ndarray:
+def quasilinear_matrix(u: StateUHC, params: ModelParams) -> np.ndarray:
     rho, h, c = u.rho, u.h, u.c
     ge2 = 0.5 * params.gamma * params.eta
-    v, vp = float(V(h)), float(dV(h))
+    v, vp = float(speed_V(h)), float(speed_V_prime(h))
     return np.array([
         [c * v, vp * c * rho, v * rho],
         [0.0, c * (v - ge2 * rho * vp), -ge2 * rho * v],
@@ -57,12 +53,11 @@ def quasilinear_matrix(u: StateUHC, params: ModelParams, V=speed_V,
     ])
 
 
-def eigenstructure(u: StateUHC, params: ModelParams, V=speed_V,
-                   dV=speed_V_prime) -> EigenDecomp:
+def eigenstructure(u: StateUHC, params: ModelParams) -> EigenDecomp:
     """Closed-form wave speeds and eigenvectors of the quasilinear matrix."""
     rho, h, c = u.rho, u.h, u.c
     ge2 = 0.5 * params.gamma * params.eta
-    v, vp = float(V(h)), float(dV(h))
+    v, vp = float(speed_V(h)), float(speed_V_prime(h))
 
     lam3 = c * v
     lam2 = c * (v - ge2 * rho * vp)
@@ -77,58 +72,56 @@ def eigenstructure(u: StateUHC, params: ModelParams, V=speed_V,
                        strictly_hyperbolic=bool(strict))
 
 
-def eigen_residual(u: StateUHC, params: ModelParams, V=speed_V,
-                   dV=speed_V_prime) -> float:
+def eigen_residual(u: StateUHC, params: ModelParams) -> float:
     """max_k || A r_k - lambda_k r_k ||_inf for the closed-form decomposition."""
-    a = quasilinear_matrix(u, params, V, dV)
-    dec = eigenstructure(u, params, V, dV)
+    a = quasilinear_matrix(u, params)
+    dec = eigenstructure(u, params)
     res = 0.0
     for lam, r in zip(dec.lambdas, dec.vectors):
         res = max(res, float(np.max(np.abs(a @ r - lam * r))))
     return res
 
 
-def _lambda_k(k: int, rho, h, c, params, V, dV):
+def _lambda_k(k: int, rho, h, c, params):
     if k == 1:
         return 0.0 * np.asarray(rho)
     if k == 3:
-        return c * V(h)
-    return c * (V(h) - 0.5 * params.gamma * params.eta * rho * dV(h))
+        return c * speed_V(h)
+    return c * (speed_V(h)
+                - 0.5 * params.gamma * params.eta * rho * speed_V_prime(h))
 
 
-def directional_derivative_fd(k: int, u: StateUHC, params: ModelParams,
-                              V=speed_V, dV=speed_V_prime,
-                              step: float = 1e-6) -> float:
-    """Central finite-difference of lambda_k along r_k."""
-    r = eigenstructure(u, params, V, dV).vectors[k - 1]
+def directional_derivative_fd(k: int, u: StateUHC,
+                              params: ModelParams) -> float:
+    """Central finite-difference of lambda_k along r_k, with step 1e-6."""
+    step = 1e-6
+    r = eigenstructure(u, params).vectors[k - 1]
     base = u.as_array()
     up = base + step * r
     dn = base - step * r
-    lp = _lambda_k(k, up[0], up[1], up[2], params, V, dV)
-    ln = _lambda_k(k, dn[0], dn[1], dn[2], params, V, dV)
+    lp = _lambda_k(k, up[0], up[1], up[2], params)
+    ln = _lambda_k(k, dn[0], dn[1], dn[2], params)
     return float((lp - ln) / (2 * step))
 
 
-def genuine_nonlinearity_2(u: StateUHC, params: ModelParams, V=speed_V,
-                           dV=speed_V_prime, d2V=speed_V_second) -> float:
+def genuine_nonlinearity_2(u: StateUHC, params: ModelParams) -> float:
     """grad(lambda_2) . r_2 in the (rho, h, c) coordinates.
 
-    For the default closure this is strictly negative on admissible states,
+    For the model's closure this is strictly negative on admissible states,
     so the second field is genuinely nonlinear.
     """
     ge2 = 0.5 * params.gamma * params.eta
-    return float(-ge2 * u.c * (2.0 * dV(u.h) - ge2 * u.rho * d2V(u.h)))
+    return float(-ge2 * u.c * (2.0 * speed_V_prime(u.h)
+                               - ge2 * u.rho * speed_V_second(u.h)))
 
 
-def nonlinearity_diagnostic(u: StateUHC, params: ModelParams, V=speed_V,
-                            dV=speed_V_prime, d2V=speed_V_second) -> float:
+def nonlinearity_diagnostic(u: StateUHC, params: ModelParams) -> float:
     """Diagnostic value V'(h) - (rho/2) V''(h); reported, not interpreted."""
-    return float(dV(u.h) - 0.5 * u.rho * d2V(u.h))
+    return float(speed_V_prime(u.h) - 0.5 * u.rho * speed_V_second(u.h))
 
 
 def rarefaction_curve(family: int, left: StateUHC, sigma_max: float,
-                      n_steps: int, params: ModelParams, V=speed_V,
-                      dV=speed_V_prime):
+                      n_steps: int, params: ModelParams):
     """Sample the rarefaction curve of the given family through `left`.
 
     Families 2 and 3 are closed-form; family 1 is integrated with classical
@@ -154,10 +147,10 @@ def rarefaction_curve(family: int, left: StateUHC, sigma_max: float,
     else:
         def rhs(state):
             rho, h, c = state
-            v = float(V(h))
+            v = float(speed_V(h))
             return np.array([v * rho,
                              -ge2 * v * rho,
-                             c * (rho * ge2 * float(dV(h)) - v)])
+                             c * (rho * ge2 * float(speed_V_prime(h)) - v)])
 
         states = np.empty((n_steps + 1, 3))
         states[0] = left.as_array()
@@ -179,16 +172,16 @@ def rarefaction_curve(family: int, left: StateUHC, sigma_max: float,
 
 
 def rh_residual(left: StateUHC, right: StateUHC, lam: float,
-                params: ModelParams, V=speed_V) -> np.ndarray:
+                params: ModelParams) -> np.ndarray:
     """Signed residuals of the three Rankine-Hugoniot jump relations."""
     p_l = 0.5 * params.gamma * params.eta * left.rho
     p_r = 0.5 * params.gamma * params.eta * right.rho
     q_l = left.rho * (left.h + p_l)
     q_r = right.rho * (right.h + p_r)
-    f1_l = left.c * float(V(left.h)) * left.rho
-    f1_r = right.c * float(V(right.h)) * right.rho
-    f2_l = left.c * float(V(left.h)) * q_l
-    f2_r = right.c * float(V(right.h)) * q_r
+    f1_l = left.c * float(speed_V(left.h)) * left.rho
+    f1_r = right.c * float(speed_V(right.h)) * right.rho
+    f2_l = left.c * float(speed_V(left.h)) * q_l
+    f2_r = right.c * float(speed_V(right.h)) * q_r
     return np.array([
         lam * (left.rho - right.rho) - (f1_l - f1_r),
         lam * (q_l - q_r) - (f2_l - f2_r),
@@ -198,14 +191,12 @@ def rh_residual(left: StateUHC, right: StateUHC, lam: float,
 
 def shock_equals_rarefaction_check(family: int, left: StateUHC,
                                    n_points: int, params: ModelParams,
-                                   sigma_max: float = 0.5,
-                                   ode_steps: int = 10_000,
-                                   V=speed_V, dV=speed_V_prime) -> float:
+                                   ode_steps: int = 10_000) -> float:
     """Worst residual of the remaining RH relations along the rarefaction
-    curve, with the shock speed solved from the first relation."""
+    curve up to sigma = 0.5, with the shock speed solved from the first
+    relation."""
     n_steps = ode_steps if family == 1 else n_points
-    sigma, states = rarefaction_curve(family, left, sigma_max, n_steps,
-                                      params, V, dV)
+    sigma, states = rarefaction_curve(family, left, 0.5, n_steps, params)
     if family == 1:
         keep = np.unique(np.linspace(0, len(sigma) - 1,
                                      min(n_points + 1, len(sigma)),
@@ -220,12 +211,12 @@ def shock_equals_rarefaction_check(family: int, left: StateUHC,
             # standing contact: along this curve the flux is constant
             lam = 0.0
         else:
-            f_l = left.c * float(V(left.h)) * left.rho
-            f_r = right.c * float(V(right.h)) * right.rho
+            f_l = left.c * float(speed_V(left.h)) * left.rho
+            f_r = right.c * float(speed_V(right.h)) * right.rho
             if abs(drho) < 1e-14:
                 continue
             lam = (f_l - f_r) / drho
-        res = rh_residual(left, right, lam, params, V)
+        res = rh_residual(left, right, lam, params)
         check = np.abs(res) if family == 1 else np.abs(res[1:])
         worst = max(worst, float(np.max(check)))
     return worst

@@ -267,9 +267,10 @@ def cmd_uq(args) -> int:
                               "distribution only")
         stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed,
                                speed_law=speed_law, threads=args.threads)
+        # written first, so that a Galerkin study that fails keeps it
+        output.write_stats_csv(out_dir / "mc_summary.csv", stats)
         result = uq.pce_convergence_study(scenario, model, stats,
                                           speed_law=speed_law)
-        output.write_stats_csv(out_dir / "mc_summary.csv", stats)
         output.write_convergence_csv(out_dir / "convergence.csv", result)
         meta.update(n_samples=n_samples, mc_rows_solved=stats.rows_solved,
                     rate_rho=result.rate_rho, rate_h=result.rate_h)

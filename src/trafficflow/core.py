@@ -261,7 +261,9 @@ def integrate(state, step, observe, check, params: ModelParams,
     NumericalError naming the first bad entry (first_invalid). It runs on
     the initial state after the t = 0 snapshot, as step 1, and on the
     result of every step j before it is observed; its error is raised with
-    "step j (t = ...): " in front. Steps and closures check nothing.
+    "step j (t = ...): " in front. Steps and closures check nothing, and
+    run with numpy's floating-point warnings off: the check reports a
+    state they made invalid, once.
 
     With emit, each snapshot goes to emit(time, snapshot) the moment it is
     observed, in time order, and none is kept: the returned dict is empty,
@@ -278,13 +280,14 @@ def integrate(state, step, observe, check, params: ModelParams,
             raise type(error)(f"step {j} (t = {j * params.dt:.6g}): {error}")
         return state
 
-    if 0 in out:
-        emit(out[0], observe(state))
-    checked(state, 1)
-    for j in range(1, params.n_steps() + 1):
-        state = checked(step(state, j), j)
-        if j in out:
-            emit(out[j], observe(state))
+    with np.errstate(all="ignore"):
+        if 0 in out:
+            emit(out[0], observe(state))
+        checked(state, 1)
+        for j in range(1, params.n_steps() + 1):
+            state = checked(step(state, j), j)
+            if j in out:
+                emit(out[j], observe(state))
     return snapshots
 
 

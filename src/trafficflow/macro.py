@@ -98,11 +98,11 @@ def check_second_order(rho: np.ndarray, ok=None, row="row"):
 
 
 def lf_step_first_order(rho: np.ndarray, capacity: CapacitySpec,
-                        params: ModelParams, grid: Grid1D, y=None,
+                        params: ModelParams, grid: Grid1D,
                         c: np.ndarray | None = None) -> np.ndarray:
     """First-order model: flux c(x) V(H(rho)) rho."""
     if c is None:
-        c = capacity_on_grid(capacity, grid, y)
+        c = capacity_on_grid(capacity, grid)
     flux = c * speed_V(headway_H(rho)) * rho
     return _lf(rho, flux, params.dt / (2 * grid.dx))
 
@@ -142,7 +142,7 @@ class LFWork:
 
 def lf_step_conservative(rho: np.ndarray, z: np.ndarray,
                          capacity: CapacitySpec, params: ModelParams,
-                         grid: Grid1D, y=None, c: np.ndarray | None = None,
+                         grid: Grid1D, c: np.ndarray | None = None,
                          work: LFWork | None = None):
     """Second-order model in the conservative pair (rho, z),
     z = rho*(h + p(rho)), where the pressure needs no source term: LF
@@ -155,7 +155,7 @@ def lf_step_conservative(rho: np.ndarray, z: np.ndarray,
     not given) and is valid until the step after next with the same work;
     rho and z are only read."""
     if c is None:
-        c = capacity_on_grid(capacity, grid, y)
+        c = capacity_on_grid(capacity, grid)
     if work is None:
         work = LFWork(np.broadcast(rho, z, c).shape)
     cv = advection_speed(rho, z, c, params, out=work.a, tmp=work.b)

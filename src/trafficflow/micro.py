@@ -193,9 +193,7 @@ def sample_density(positions: np.ndarray, L: float, grid: Grid1D) -> np.ndarray:
     """Piecewise-constant density L / gap of position arrays (last axis =
     vehicles) at the grid centers; leading axes are kept."""
     xs = np.sort(grid.wrap(positions), axis=-1, kind="stable")
-    gaps = np.empty_like(xs)
-    gaps[..., :-1] = np.diff(xs, axis=-1)
-    gaps[..., -1] = xs[..., 0] + grid.length - xs[..., -1]
+    gaps = periodic_gaps(xs, grid.length)
     if np.any(gaps <= 0):
         raise NumericalError("coincident vehicle positions in density sampling")
     dens = L / gaps

@@ -41,8 +41,8 @@ class PiecewiseProfile:
             raise ConfigError("profile thresholds must be strictly increasing")
 
     @classmethod
-    def uniform(cls, value: float, x_max: float = np.inf) -> "PiecewiseProfile":
-        return cls((x_max,), (value,))
+    def uniform(cls, value: float) -> "PiecewiseProfile":
+        return cls((np.inf,), (value,))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

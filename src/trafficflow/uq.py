@@ -55,13 +55,13 @@ class AccidentDistribution:
     def is_uniform(self) -> bool:
         return self.alpha == 1.0 and self.beta == 1.0
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator):
         if self.is_uniform:
-            z = rng.random(size)
+            z = rng.random()
         else:
             # ratio-of-gammas construction of a Beta variate
-            g1 = rng.gamma(self.alpha, size=size)
-            g2 = rng.gamma(self.beta, size=size)
+            g1 = rng.gamma(self.alpha)
+            g2 = rng.gamma(self.beta)
             z = g1 / (g1 + g2)
         return Y_LOW + (Y_HIGH - Y_LOW) * z
 
@@ -165,12 +165,11 @@ class PceModesMacro:
 
 @dataclass(frozen=True)
 class PceModesMicro:
-    """Galerkin coefficients of the vehicle positions, one column per
-    mode: of one run, or of the runs of a GalerkinRuns batch side by side.
-    x_nodes, when known, holds the positions at the quadrature nodes (one
-    column per node), as rho_nodes of PceModesMacro."""
+    """Galerkin coefficients of the vehicle positions, one row per mode,
+    of one run or of a GalerkinRuns batch. x_nodes, when known, holds the
+    positions at the quadrature nodes, as rho_nodes of PceModesMacro."""
 
-    x_hat: np.ndarray  # (N, K+1), or the runs' modes in turn
+    x_hat: np.ndarray  # (K+1, N), or the runs' modes in turn
     L: float
     x_min: float
     road_length: float
@@ -178,7 +177,7 @@ class PceModesMicro:
 
     @property
     def order(self) -> int:
-        return self.x_hat.shape[1] - 1
+        return self.x_hat.shape[0] - 1
 
 
 def pce_macro_init(rho0: np.ndarray, h0: np.ndarray, K: int,
@@ -193,8 +192,8 @@ def pce_macro_init(rho0: np.ndarray, h0: np.ndarray, K: int,
 
 def pce_micro_init(positions: np.ndarray, K: int, L: float, x_min: float,
                    road_length: float) -> PceModesMicro:
-    x_hat = np.zeros((len(positions), K + 1))
-    x_hat[:, 0] = positions
+    x_hat = np.zeros((K + 1, len(positions)))
+    x_hat[0] = positions
     return PceModesMicro(x_hat=x_hat, L=L, x_min=x_min,
                          road_length=road_length)
 
@@ -211,8 +210,8 @@ class GalerkinRuns:
     more nodes than the order, raised before any basis is built), with the
     basis phis[r] and the projector projs[r]. Its modes are the rows
     modes[r] of the stacked modes, and its node values the rows nodes[r]
-    (columns, in micro's arrays of one row per vehicle) of the stacked node
-    values, whose mapped nodes are y_nodes and names node_names."""
+    of the stacked node values, whose mapped nodes are y_nodes and names
+    node_names."""
 
     def __init__(self, quads, orders):
         for quad, K in zip(quads, orders):
@@ -232,25 +231,17 @@ class GalerkinRuns:
                            for q in quads for i in range(q.n)]
 
     def to_nodes(self, modes: np.ndarray) -> np.ndarray:
-        """Node values of stacked macro modes: phi.T @ modes per run."""
+        """Node values of stacked modes: phi.T @ modes per run."""
         out = np.empty((len(self.y_nodes), modes.shape[1]))
         for phi, m, q in zip(self.phis, self.modes, self.nodes):
             np.matmul(phi.T, modes[m], out=out[q])
         return out
 
     def to_modes(self, values: np.ndarray) -> np.ndarray:
-        """Projection of stacked macro node values: proj @ values per run."""
+        """Projection of stacked node values: proj @ values per run."""
         out = np.empty((self.modes[-1].stop, values.shape[1]))
         for proj, m, q in zip(self.projs, self.modes, self.nodes):
             np.matmul(proj, values[q], out=out[m])
-        return out
-
-    def vehicle_nodes(self, x_hat: np.ndarray) -> np.ndarray:
-        """Node positions of micro modes side by side: x_hat @ phi per
-        run, one column per node."""
-        out = np.empty((len(x_hat), len(self.y_nodes)))
-        for phi, m, q in zip(self.phis, self.modes, self.nodes):
-            np.matmul(x_hat[:, m], phi, out=out[:, q])
         return out
 
 
@@ -294,25 +285,19 @@ def pce_micro_step(modes: PceModesMicro, capacity: CapacitySpec,
                    params: ModelParams, quad,
                    speed_law=micro_speed_Vtilde) -> PceModesMicro:
     """Explicit Euler on position modes, of one run or of a batch (see
-    pce_macro_step); the Euler rates are reconstructed at the nodes as in
-    the deterministic step, with the follow-the-leader law speed_law, and
-    projected with each run's projector. The result carries its node
-    positions (x_nodes)."""
+    pce_macro_step): the Euler rates of the deterministic step, with the
+    follow-the-leader law speed_law, at the node positions, projected back
+    onto the modes. The result carries its node positions (x_nodes)."""
     runs = quad if isinstance(quad, GalerkinRuns) else \
         GalerkinRuns((quad,), (modes.order,))
     x_y = modes.x_nodes
     if x_y is None:
-        x_y = runs.vehicle_nodes(modes.x_hat)
-    # one row of vehicles per node: transposed views of the (N, n) layout
+        x_y = runs.to_nodes(modes.x_hat)
     c, speed = micro._capacity_and_speed(
-        x_y.T, modes.L, modes.x_min, modes.road_length, capacity,
+        x_y, modes.L, modes.x_min, modes.road_length, capacity,
         runs.y_nodes[:, None], speed_law)
-    rate = c.T * speed.T  # (N, n)
-    xdot_hat = np.empty_like(modes.x_hat)
-    for proj, m, q in zip(runs.projs, runs.modes, runs.nodes):
-        np.matmul(rate[:, q], proj.T, out=xdot_hat[:, m])
-    x_hat = modes.x_hat + params.dt * xdot_hat
-    return replace(modes, x_hat=x_hat, x_nodes=runs.vehicle_nodes(x_hat))
+    x_hat = modes.x_hat + params.dt * runs.to_modes(c * speed)
+    return replace(modes, x_hat=x_hat, x_nodes=runs.to_nodes(x_hat))
 
 
 def expectation_from_macro_modes(modes: PceModesMacro, params: ModelParams,
@@ -340,21 +325,23 @@ def expectation_from_macro_modes(modes: PceModesMacro, params: ModelParams,
 
 
 def expectation_from_micro_modes(modes: PceModesMicro, grid: Grid1D,
-                                 L: float, quad: Quadrature | None = None,
-                                 phi: np.ndarray | None = None) -> MacroField:
+                                 L: float,
+                                 quad: Quadrature | None = None) -> MacroField:
     """Expected piecewise-constant density of the position expansion.
 
     The density L/gap is nonlinear in the positions, so the expectation is
-    the quadrature average of the densities reconstructed at the nodes; the
-    density of the mode-0 positions (used when no quadrature is given, and
-    identical for K = 0) would carry an order-independent bias.
+    the quadrature average of the densities at the node positions (x_nodes,
+    reconstructed when not known); the density of the mode-0 positions
+    (used when no quadrature is given, and identical for K = 0) would carry
+    an order-independent bias.
     """
     if quad is None or modes.order == 0:
-        rho = sample_density(modes.x_hat[:, 0], L, grid)
+        rho = sample_density(modes.x_hat[0], L, grid)
         return MacroField(rho=rho, h=headway_H(rho), grid=grid)
-    if phi is None:
-        phi = legendre_basis(modes.order, quad.y_nodes)
-    rho_y = sample_density((modes.x_hat @ phi).T, L, grid)  # (n, cells)
+    x_y = modes.x_nodes
+    if x_y is None:
+        x_y = GalerkinRuns((quad,), (modes.order,)).to_nodes(modes.x_hat)
+    rho_y = sample_density(x_y, L, grid)  # (n, cells)
     rho = np.zeros(grid.n_cells)
     h = np.zeros(grid.n_cells)
     for w, rho_q in zip(0.5 * quad.weights, rho_y):
@@ -378,7 +365,6 @@ def run_pce(scenario: Scenario, model: str, runs, out_times=None,
         macro.cfl_check(params, capacity, grid)
     orders = [K for _, K in runs]
     batch = GalerkinRuns([gauss_legendre(n) for n, _ in runs], orders)
-    each = list(zip(batch.quads, batch.phis, batch.modes))
 
     if model == "macro2":
         c_nodes = macro.capacity_on_grid(capacity, grid, batch.y_nodes)
@@ -392,7 +378,8 @@ def run_pce(scenario: Scenario, model: str, runs, out_times=None,
                                         c_nodes=c_nodes),
             lambda m: [expectation_from_macro_modes(
                 PceModesMacro(m.rho_hat[r], m.z_hat[r], grid), params, quad,
-                phi) for quad, phi, r in each],
+                phi) for quad, phi, r in zip(batch.quads, batch.phis,
+                                             batch.modes)],
             lambda m: macro.check_second_order(m.rho_nodes,
                                                row=batch.node_names),
             params, out_times)
@@ -400,17 +387,18 @@ def run_pce(scenario: Scenario, model: str, runs, out_times=None,
     state = micro_init_from_density(scenario.rho0, params.N, params.L, grid)
     x_hat = np.concatenate([pce_micro_init(state.positions, K, params.L,
                                            grid.x_min, grid.length).x_hat
-                            for K in orders], axis=1)
+                            for K in orders])
     return integrate(
         PceModesMicro(x_hat, params.L, grid.x_min, grid.length,
-                      batch.vehicle_nodes(x_hat)),
+                      batch.to_nodes(x_hat)),
         lambda m, j: pce_micro_step(m, capacity, params, batch,
                                     speed_law=speed_law),
         lambda m: [expectation_from_micro_modes(
-            replace(m, x_hat=m.x_hat[:, r], x_nodes=None), grid, params.L,
-            quad, phi) for quad, phi, r in each],
+            replace(m, x_hat=m.x_hat[r], x_nodes=m.x_nodes[q]), grid,
+            params.L, quad) for quad, r, q in zip(batch.quads, batch.modes,
+                                                  batch.nodes)],
         lambda m: micro.check_ordering(
-            micro.periodic_gaps(m.x_nodes.T, m.road_length),
+            micro.periodic_gaps(m.x_nodes, m.road_length),
             row=batch.node_names),
         params, out_times)
 

@@ -234,7 +234,7 @@ def test_pce_with_deterministic_capacity_equals_deterministic_runs():
     for _ in range(params.n_steps()):
         mmodes = uq.pce_micro_step(mmodes, sc.capacity, params, quad)
         state = micro.micro_step(state, sc.capacity, params.dt)
-        assert np.max(np.abs(mmodes.x_hat[:, 0] - state.positions)) <= 1e-12
+        assert np.max(np.abs(mmodes.x_hat[0] - state.positions)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

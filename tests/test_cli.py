@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trafficflow
 from trafficflow import output
 from trafficflow.cli import main, run_model
 from trafficflow.core import Grid1D
@@ -655,3 +660,24 @@ def test_failing_galerkin_study_names_step_time_run_node_and_cell(tmp_path,
         "numerical failure: step 44 (t = 0.352): vanishing density at "
         "run n = 3, node 2, cell 423\n")
     assert not (out / "convergence.csv").exists()
+    # the Monte Carlo phase finished, so its summary is kept
+    assert (out / "mc_summary.csv").exists()
+
+
+def test_numerical_failure_writes_one_line_and_no_numpy_warning(tmp_path):
+    # rho = 1e308: the neighbour sums of the first LF step overflow, which
+    # numpy would report as RuntimeWarnings quoting source lines; the
+    # check's message is the one line on stderr. Run as its own process, so
+    # that stderr is what a user sees.
+    sc = write_scenario(tmp_path, initial={
+        "rho": [{"x_lt": 4.0, "value": 1e308}],
+        "h": [{"x_lt": 0.0, "value": 0.8}, {"x_lt": 4.0, "value": 0.95}]})
+    src = Path(trafficflow.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "trafficflow.cli", "simulate", "--scenario",
+         str(sc), "--model", "macro1", "--out", str(tmp_path / "run")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure: step 1 ")
+    assert len(proc.stderr.splitlines()) == 1

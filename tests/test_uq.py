@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from trafficflow.core import (
+    AccidentCapacity,
     ConfigError,
     ConstantCapacity,
     Grid1D,
     ModelParams,
     NumericalError,
+    OrderingViolationError,
     headway_H,
     pressure,
 )
@@ -195,7 +197,7 @@ def test_pce_micro_k0_deterministic_equals_micro_step():
     for _ in range(10):
         modes = pce_micro_step(modes, sc.capacity, sc.params, quad)
         s = micro.micro_step(s, sc.capacity, sc.params.dt)
-    assert np.max(np.abs(modes.x_hat[:, 0] - s.positions)) <= 1e-12
+    assert np.max(np.abs(modes.x_hat[0] - s.positions)) <= 1e-12
 
 
 def test_pce_requires_enough_nodes():
@@ -573,3 +575,18 @@ def test_galerkin_errors_name_the_run_and_its_node():
     assert one.node_names == ["node 0", "node 1", "node 2"]
     with pytest.raises(ConfigError, match="order 3 needs at least 4"):
         uq.GalerkinRuns([gauss_legendre(3)], (3,))
+
+
+def test_micro_galerkin_batch_names_the_run_node_and_vehicle():
+    # the benchmark's accident scenario with drop 0.5: the Euler step loses
+    # the vehicle order at the n = 3 run's node 1 first; the batch names
+    # the run, its one-run form the node alone
+    base = accident_scenario(dx=1.6e-2, dt=8e-3, N=1000, T=0.8)
+    sc = replace(base, capacity=AccidentCapacity(0.5))
+    where = r"^step 11 \(t = 0\.088\): vehicle ordering lost at "
+    with pytest.raises(OrderingViolationError,
+                       match=where + r"run n = 3, node 1, vehicle 289$"):
+        uq.run_pce(sc, "micro", [(3, 2), (5, 4), (9, 8)])
+    with pytest.raises(OrderingViolationError,
+                       match=where + r"node 1, vehicle 289$"):
+        run_pce_micro(sc, n_nodes=3, K=2)

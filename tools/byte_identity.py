@@ -13,11 +13,12 @@ benchmark's commands (taken from perfbench/workloads.py of --change),
 `uq pce` for both at (nodes, order) = (1, 0), (3, 1), (5, 4) and (9, 8)
 and a = 0 and 1, `simulate` for all four models, `compare` on the
 accident, ramp and constant capacities at a = 0 and 1, one run per model
-that exits 3 (and a Galerkin step and a convergence study that do), and
-the particle dt bound (exit 2). In stderr the output root and the
-checkout of each side are replaced by <root> and <checkout>, so that the
-two sides can be compared. Prints one line
-per command; exits 1 if a command differs in exit code or files, or in
+that exits 3 (and a Galerkin step and a convergence study that do), the
+particle dt bound (exit 2), and `analyze eigen`, `analyze curves` for
+families 1 to 3 and `analyze rh`, which take no scenario. In stderr the
+output root and the checkout of each side are replaced by <root> and
+<checkout>, so that the two sides can be compared. Prints one line per
+command; exits 1 if a command differs in exit code or files, or in
 stderr while it exits 0 on both sides.
 """
 
@@ -63,7 +64,8 @@ def _variant(base, **changes):
 
 
 def commands(change: Path) -> list:
-    """[(name, scenario document, argv without --scenario and --out)]."""
+    """[(name, scenario document or None, argv without --scenario and
+    --out)]."""
     sys.path.insert(0, str(change / "perfbench"))
     from workloads import ACCIDENT, MC_SAMPLES, WORKLOADS
 
@@ -146,16 +148,27 @@ def commands(change: Path) -> list:
          _variant(SIMULATE, params={"epsilon": 1000.0}),
          ["compare", "--models", "macro2,particle"]),
     ]
+    state = ["--rho", "0.15", "--h", "0.8", "--c", "0.6"]
+    runs.append(("analyze_eigen", None, ["analyze", "eigen", *state]))
+    for family in ("1", "2", "3"):
+        runs.append((f"analyze_curves_family{family}", None,
+                     ["analyze", "curves", *state, "--family", family,
+                      "--sigma-max", "0.5", "--n-steps", "200"]))
+    runs.append(("analyze_rh", None,
+                 ["analyze", "rh", *state, "--rho-right", "0.1",
+                  "--h-right", "0.95", "--c-right", "1.0", "--speed",
+                  "0.3"]))
     return runs
 
 
-def run(checkout: Path, root: Path, name: str, scenario: Path,
+def run(checkout: Path, root: Path, name: str, scenario: Path | None,
         argv: list) -> dict:
     out = root / name
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    if scenario is not None:
+        argv = [*argv, "--scenario", str(scenario)]
     proc = subprocess.run(
-        [sys.executable, "-m", "trafficflow.cli", *argv, "--scenario",
-         str(scenario), "--out", str(out)],
+        [sys.executable, "-m", "trafficflow.cli", *argv, "--out", str(out)],
         cwd=root, env=env, capture_output=True)
     files = {}
     if out.exists():
@@ -194,8 +207,10 @@ def main(argv=None) -> int:
     for name, doc, cli in commands(sides["change"]):
         if args.only and name not in args.only:
             continue
-        scenario = work / "scenarios" / f"{name}.json"
-        scenario.write_text(json.dumps(doc))
+        scenario = None
+        if doc is not None:
+            scenario = work / "scenarios" / f"{name}.json"
+            scenario.write_text(json.dumps(doc))
         res = {}
         for side, checkout in sides.items():
             root = work / side
