@@ -4,8 +4,8 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 I/O error.
 Every run is reproducible from (scenario file, seed). `--threads` sets the
 number of threads that run the Monte Carlo chunks of `uq mc` and
 `uq convergence` (0, the default, means every CPU); their outputs are
-byte-identical whatever its value. The other commands accept it and ignore
-it.
+byte-identical whatever its value. The other commands exit 2 if it is
+given.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,11 +118,14 @@ def _count(value, flag: str, minimum: int, default=None, maximum=None):
     return value
 
 
-def _reject_unused_flags(args, scenario: Scenario, models) -> None:
-    """Exit 2 on a negative --seed or --threads or on a flag that none of
-    the selected models would read."""
+def _reject_unused_flags(args, scenario: Scenario, models,
+                         threaded: bool = False) -> None:
+    """Exit 2 on a negative --seed, on --threads for a command without
+    threads, or on a flag that none of the selected models would read."""
     _count(args.seed, "--seed", 0)
-    _count(args.threads, "--threads", 0)
+    if args.threads is not None and not threaded:
+        raise ConfigError("--threads applies to 'uq mc' and 'uq "
+                          "convergence' only")
     if args.micro_speed != "linear" and "micro" not in models:
         raise ConfigError("--micro-speed applies to the micro model only")
     if (args.accident_size is not None
@@ -224,7 +228,9 @@ def cmd_uq(args) -> int:
     if args.accident_size is not None:
         raise ConfigError("--accident-size does not apply to uq commands: "
                           "the accident size is the random input there")
-    _reject_unused_flags(args, scenario, (model,))
+    _reject_unused_flags(args, scenario, (model,),
+                         threaded=args.uq_mode != "pce")
+    threads = _count(args.threads, "--threads", 0, 0)
     speed_law = MICRO_SPEED_LAWS[args.micro_speed]
     n_samples = _count(args.samples, "--samples", 1, scenario.uq.n_samples,
                        MAX_SAMPLES)
@@ -247,7 +253,7 @@ def cmd_uq(args) -> int:
 
     if args.uq_mode == "mc":
         stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed,
-                               speed_law=speed_law, threads=args.threads)
+                               speed_law=speed_law, threads=threads)
         output.write_stats_csv(out_dir / "mc_summary.csv", stats)
         meta.update(n_samples=n_samples, mc_rows_solved=stats.rows_solved)
     elif args.uq_mode == "pce":
@@ -266,7 +272,7 @@ def cmd_uq(args) -> int:
             raise ConfigError("the Galerkin expansion supports the uniform "
                               "distribution only")
         stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed,
-                               speed_law=speed_law, threads=args.threads)
+                               speed_law=speed_law, threads=threads)
         # written first, so that a Galerkin study that fails keeps it
         output.write_stats_csv(out_dir / "mc_summary.csv", stats)
         result = uq.pce_convergence_study(scenario, model, stats,
@@ -306,8 +312,13 @@ def cmd_analyze(args) -> int:
         (out_dir / "eigen.json").write_text(
             json.dumps(report, indent=2) + "\n")
     elif args.analyze_mode == "curves":
-        sigma, states = analysis.rarefaction_curve(
-            args.family, state, args.sigma_max, args.n_steps, params)
+        # a warning's own text, without the source line Python would add
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sigma, states = analysis.rarefaction_curve(
+                args.family, state, args.sigma_max, args.n_steps, params)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         lam = np.array([analysis.eigenstructure(
             analysis.StateUHC(*s), params).lambdas[args.family - 1]
             for s in states])
@@ -340,11 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=0,
+        p.add_argument("--threads", type=int, default=None,
                        help="Monte Carlo threads of 'uq mc' and 'uq "
-                            "convergence' (0: every CPU); outputs are "
-                            "byte-identical whatever the value; other "
-                            "commands ignore it")
+                            "convergence' (0, the default: every CPU); "
+                            "outputs are byte-identical whatever the "
+                            "value; other commands exit 2 if it is given")
         p.add_argument("--accident-size", type=float, default=None,
                        help="fixed accident half-width Y for deterministic "
                             "runs with the accident capacity")

@@ -240,5 +240,3 @@ def run_second_order(rho0: np.ndarray, h0: np.ndarray, capacity: CapacitySpec,
         observe, lambda state: check_second_order(state[0], ok), params,
         out_times, emit)
 
-
-run_conservative = run_second_order  # former name of the conservative runner

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,77 +141,35 @@ def legendre_basis(K: int, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PceModesMacro:
-    """Galerkin coefficients of the conservative pair (rho, z) per cell,
-    one row per mode, of one run or of a GalerkinRuns batch. rho_nodes, if
-    known, holds the densities at the nodes the modes are stepped on: the
-    step that made the modes computes them for the check and the next
-    step."""
+    """Galerkin coefficients of the conservative pair (rho, z) per cell of
+    the runs of a GalerkinRuns batch, stacked one row per mode, and the
+    densities at the quadrature nodes of every run (rho_nodes): the step
+    that made the modes computes them for the check and the next step."""
 
-    rho_hat: np.ndarray  # (K+1, n_cells), or the runs' modes in turn
+    rho_hat: np.ndarray  # (modes of all runs, n_cells)
     z_hat: np.ndarray
-    grid: Grid1D
-    rho_nodes: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.rho_hat.shape != self.z_hat.shape or self.rho_hat.ndim != 2:
-            raise ConfigError("mode arrays must share shape (K+1, n_cells)")
-        if self.rho_hat.shape[1] != self.grid.n_cells:
-            raise ConfigError("mode arrays must match the grid")
-
-    @property
-    def order(self) -> int:
-        return self.rho_hat.shape[0] - 1
+    rho_nodes: np.ndarray  # (nodes of all runs, n_cells)
 
 
 @dataclass(frozen=True)
 class PceModesMicro:
-    """Galerkin coefficients of the vehicle positions, one row per mode,
-    of one run or of a GalerkinRuns batch. x_nodes, when known, holds the
-    positions at the quadrature nodes, as rho_nodes of PceModesMacro."""
+    """Galerkin coefficients of the vehicle positions of a batch, one row
+    per mode, and the positions at its quadrature nodes (x_nodes), as
+    PceModesMacro."""
 
-    x_hat: np.ndarray  # (K+1, N), or the runs' modes in turn
-    L: float
-    x_min: float
-    road_length: float
-    x_nodes: np.ndarray | None = None
-
-    @property
-    def order(self) -> int:
-        return self.x_hat.shape[0] - 1
-
-
-def pce_macro_init(rho0: np.ndarray, h0: np.ndarray, K: int,
-                   params: ModelParams, grid: Grid1D) -> PceModesMacro:
-    """Deterministic initial data: mode 0 carries (rho0, z0), the rest are 0."""
-    rho_hat = np.zeros((K + 1, grid.n_cells))
-    z_hat = np.zeros((K + 1, grid.n_cells))
-    rho_hat[0] = rho0
-    z_hat[0] = rho0 * (h0 + pressure(rho0, params))
-    return PceModesMacro(rho_hat=rho_hat, z_hat=z_hat, grid=grid)
-
-
-def pce_micro_init(positions: np.ndarray, K: int, L: float, x_min: float,
-                   road_length: float) -> PceModesMicro:
-    x_hat = np.zeros((K + 1, len(positions)))
-    x_hat[0] = positions
-    return PceModesMicro(x_hat=x_hat, L=L, x_min=x_min,
-                         road_length=road_length)
-
-
-def projector(phi: np.ndarray, quad: Quadrature) -> np.ndarray:
-    """proj[k, q] = phi_k(y_q) w_q / 2, so that proj @ f projects node
-    values f[q, ...] onto the modes, and phi.T @ modes reconstructs them."""
-    return phi * (0.5 * quad.weights)
+    x_hat: np.ndarray  # (modes of all runs, N)
+    x_nodes: np.ndarray  # (nodes of all runs, N)
 
 
 class GalerkinRuns:
     """Galerkin runs stepped as one batch: run r expands to the order
     orders[r] on the Gauss rule quads[r] (a ConfigError unless the rule has
     more nodes than the order, raised before any basis is built), with the
-    basis phis[r] and the projector projs[r]. Its modes are the rows
-    modes[r] of the stacked modes, and its node values the rows nodes[r]
-    of the stacked node values, whose mapped nodes are y_nodes and names
-    node_names."""
+    basis phis[r] and the projector projs[r][k, q] = phi_k(y_q) w_q / 2, so
+    that proj @ f projects node values f[q, ...] onto the modes and
+    phi.T @ modes reconstructs them. Its modes are the rows modes[r] of the
+    stacked modes, and its node values the rows nodes[r] of the stacked
+    node values, whose mapped nodes are y_nodes and names node_names."""
 
     def __init__(self, quads, orders):
         for quad, K in zip(quads, orders):
@@ -221,7 +179,8 @@ class GalerkinRuns:
         self.quads = tuple(quads)
         self.phis = [legendre_basis(K, q.y_nodes)
                      for q, K in zip(quads, orders)]
-        self.projs = [projector(phi, q) for phi, q in zip(self.phis, quads)]
+        self.projs = [phi * (0.5 * q.weights)
+                      for phi, q in zip(self.phis, quads)]
         self.modes, self.nodes = (
             [slice(end - n, end) for n, end in zip(sizes, np.cumsum(sizes))]
             for sizes in ([K + 1 for K in orders], [q.n for q in quads]))
@@ -229,6 +188,13 @@ class GalerkinRuns:
         self.node_names = [f"node {i}" if len(quads) == 1 else
                            f"run n = {q.n}, node {i}"
                            for q in quads for i in range(q.n)]
+
+    def deterministic(self, values: np.ndarray) -> np.ndarray:
+        """Stacked modes of deterministic data: mode 0 of every run holds
+        values, the higher modes are 0."""
+        out = np.zeros((self.modes[-1].stop, len(values)))
+        out[[m.start for m in self.modes]] = values
+        return out
 
     def to_nodes(self, modes: np.ndarray) -> np.ndarray:
         """Node values of stacked modes: phi.T @ modes per run."""
@@ -245,28 +211,21 @@ class GalerkinRuns:
         return out
 
 
-def pce_macro_step(modes: PceModesMacro, capacity: CapacitySpec,
-                   params: ModelParams, quad, grid: Grid1D,
-                   c_nodes: np.ndarray | None = None) -> PceModesMacro:
-    """One Lax-Friedrichs step of the Galerkin system: of one run (quad a
-    Quadrature) or of a batch (quad the GalerkinRuns of the stacked modes).
+def pce_macro_step(modes: PceModesMacro, runs: GalerkinRuns,
+                   c_nodes: np.ndarray, params: ModelParams,
+                   grid: Grid1D) -> PceModesMacro:
+    """One Lax-Friedrichs step of the Galerkin system of the batch runs,
+    with the capacity c_nodes at its mapped quadrature nodes y_q.
 
-    Fluxes are reconstructed at the mapped quadrature nodes y_q (the
-    capacity is evaluated at c(x; y_q) there, c_nodes if given) and
-    projected back onto the basis; so is the relaxation source of the
-    deterministic step, from the node reconstructions of the
-    post-advection modes. Reconstruction and projection are one matrix
-    product per run (phi.T @, proj @), which may round differently from a
-    sum in another order, by about 1e-16 relative; the elementwise rest
-    runs once on the stack. The result carries its node densities.
+    Fluxes are reconstructed at the nodes and projected back onto the
+    basis; so is the relaxation source of the deterministic step, from the
+    node reconstructions of the post-advection modes. Reconstruction and
+    projection are one matrix product per run (phi.T @, proj @), which may
+    round differently from a sum in another order, by about 1e-16
+    relative; the elementwise rest runs once on the stack. The result
+    carries its node densities.
     """
-    runs = quad if isinstance(quad, GalerkinRuns) else \
-        GalerkinRuns((quad,), (modes.order,))
-    if c_nodes is None:
-        c_nodes = macro.capacity_on_grid(capacity, grid, runs.y_nodes)
     rho_y = modes.rho_nodes
-    if rho_y is None:
-        rho_y = runs.to_nodes(modes.rho_hat)
     z_y = runs.to_nodes(modes.z_hat)
     cv = macro.advection_speed(rho_y, z_y, c_nodes, params)
 
@@ -277,145 +236,116 @@ def pce_macro_step(modes: PceModesMacro, capacity: CapacitySpec,
     if params.a != 0.0:
         z_new += runs.to_modes(macro.relaxation_source(
             rho_y, runs.to_nodes(z_new), params))
-    return PceModesMacro(rho_hat=rho_new, z_hat=z_new, grid=grid,
-                         rho_nodes=rho_y)
+    return PceModesMacro(rho_hat=rho_new, z_hat=z_new, rho_nodes=rho_y)
 
 
-def pce_micro_step(modes: PceModesMicro, capacity: CapacitySpec,
-                   params: ModelParams, quad,
+def pce_micro_step(modes: PceModesMicro, runs: GalerkinRuns,
+                   capacity: CapacitySpec, params: ModelParams, grid: Grid1D,
                    speed_law=micro_speed_Vtilde) -> PceModesMicro:
-    """Explicit Euler on position modes, of one run or of a batch (see
-    pce_macro_step): the Euler rates of the deterministic step, with the
-    follow-the-leader law speed_law, at the node positions, projected back
-    onto the modes. The result carries its node positions (x_nodes)."""
-    runs = quad if isinstance(quad, GalerkinRuns) else \
-        GalerkinRuns((quad,), (modes.order,))
-    x_y = modes.x_nodes
-    if x_y is None:
-        x_y = runs.to_nodes(modes.x_hat)
+    """Explicit Euler on the position modes of the batch runs: the Euler
+    rates of the deterministic step, with the follow-the-leader law
+    speed_law, at the node positions, projected back onto the modes. The
+    result carries its node positions."""
     c, speed = micro._capacity_and_speed(
-        x_y, modes.L, modes.x_min, modes.road_length, capacity,
+        modes.x_nodes, params.L, grid.x_min, grid.length, capacity,
         runs.y_nodes[:, None], speed_law)
     x_hat = modes.x_hat + params.dt * runs.to_modes(c * speed)
-    return replace(modes, x_hat=x_hat, x_nodes=runs.to_nodes(x_hat))
+    return PceModesMicro(x_hat=x_hat, x_nodes=runs.to_nodes(x_hat))
 
 
-def expectation_from_macro_modes(modes: PceModesMacro, params: ModelParams,
-                                 quad: Quadrature | None = None,
-                                 phi: np.ndarray | None = None) -> MacroField:
-    """Expected density and headway fields.
+def expectation_from_macro_modes(modes: PceModesMacro, runs: GalerkinRuns,
+                                 params: ModelParams,
+                                 grid: Grid1D) -> list:
+    """Expected density and headway fields of each run of the batch.
 
     The density expectation is mode 0 itself (the projection is linear in
-    rho). The headway is a nonlinear function z/rho - p(rho) of the state, so
-    its expectation is taken by quadrature over the node reconstructions;
-    without a quadrature the mode-0 point value is used, which coincides for
-    K = 0.
+    rho). The headway is a nonlinear function z/rho - p(rho) of the state,
+    so its expectation is taken by quadrature over the node values; at
+    K = 0 it is the point value of mode 0, from which the quadrature
+    average differs only in the last bits.
     """
-    rho = modes.rho_hat[0]
-    if quad is None or modes.order == 0:
-        h = modes.z_hat[0] / rho - pressure(rho, params)
-        return MacroField(rho=rho, h=h, grid=modes.grid)
-    if phi is None:
-        phi = legendre_basis(modes.order, quad.y_nodes)
-    rho_y = phi.T @ modes.rho_hat
-    z_y = phi.T @ modes.z_hat
-    h_y = z_y / np.maximum(rho_y, 1e-300) - pressure(rho_y, params)
-    h = (0.5 * quad.weights) @ h_y
-    return MacroField(rho=rho, h=np.maximum(h, 0.0), grid=modes.grid)
+    z_y = runs.to_nodes(modes.z_hat)
+    fields = []
+    for quad, m, q in zip(runs.quads, runs.modes, runs.nodes):
+        rho = modes.rho_hat[m.start]
+        if m.stop - m.start == 1:
+            h = modes.z_hat[m.start] / rho - pressure(rho, params)
+        else:
+            rho_y = modes.rho_nodes[q]
+            h_y = (z_y[q] / np.maximum(rho_y, 1e-300)
+                   - pressure(rho_y, params))
+            h = np.maximum((0.5 * quad.weights) @ h_y, 0.0)
+        fields.append(MacroField(rho=rho, h=h, grid=grid))
+    return fields
 
 
-def expectation_from_micro_modes(modes: PceModesMicro, grid: Grid1D,
-                                 L: float,
-                                 quad: Quadrature | None = None) -> MacroField:
-    """Expected piecewise-constant density of the position expansion.
+def expectation_from_micro_modes(modes: PceModesMicro, runs: GalerkinRuns,
+                                 grid: Grid1D, L: float) -> list:
+    """Expected piecewise-constant density of each run's position
+    expansion.
 
     The density L/gap is nonlinear in the positions, so the expectation is
-    the quadrature average of the densities at the node positions (x_nodes,
-    reconstructed when not known); the density of the mode-0 positions
-    (used when no quadrature is given, and identical for K = 0) would carry
-    an order-independent bias.
+    the quadrature average of the densities at the node positions; at
+    K = 0 it is the density of the mode-0 positions, from which the
+    average differs only in the last bits. The mode-0 density at K > 0
+    would carry an order-independent bias.
     """
-    if quad is None or modes.order == 0:
-        rho = sample_density(modes.x_hat[0], L, grid)
-        return MacroField(rho=rho, h=headway_H(rho), grid=grid)
-    x_y = modes.x_nodes
-    if x_y is None:
-        x_y = GalerkinRuns((quad,), (modes.order,)).to_nodes(modes.x_hat)
-    rho_y = sample_density(x_y, L, grid)  # (n, cells)
-    rho = np.zeros(grid.n_cells)
-    h = np.zeros(grid.n_cells)
-    for w, rho_q in zip(0.5 * quad.weights, rho_y):
-        rho += w * rho_q
-        h += w * headway_H(rho_q)
-    return MacroField(rho=rho, h=h, grid=grid)
+    fields = []
+    for quad, m, q in zip(runs.quads, runs.modes, runs.nodes):
+        if m.stop - m.start == 1:
+            rho = sample_density(modes.x_hat[m.start], L, grid)
+            h = headway_H(rho)
+        else:
+            w = 0.5 * quad.weights[:, None]
+            rho_y = sample_density(modes.x_nodes[q], L, grid)
+            rho = (w * rho_y).sum(axis=0)
+            h = (w * headway_H(rho_y)).sum(axis=0)
+        fields.append(MacroField(rho=rho, h=h, grid=grid))
+    return fields
 
 
 def run_pce(scenario: Scenario, model: str, runs, out_times=None,
             speed_law=micro_speed_Vtilde):
     """Galerkin propagation of the runs [(n_nodes, K), ...] of the model
     (macro2 or micro, with micro's follow-the-leader law speed_law) in one
-    core.integrate loop on stacked arrays (GalerkinRuns): {time: [the
-    expectation MacroField of each run]}. The check sees the node values
-    of every run at once; its error names the node (and its run's n)."""
+    core.integrate loop on stacked arrays (GalerkinRuns), from
+    deterministic initial data: {time: [the expectation MacroField of each
+    run]}. The check sees the node values of every run at once; its error
+    names the node (and its run's n)."""
     params, grid, capacity = scenario.params, scenario.grid, scenario.capacity
     if model not in ("micro", "macro2"):
         raise ConfigError("the Galerkin runs support the micro and macro2 "
                           "models")
     if model == "macro2":
         macro.cfl_check(params, capacity, grid)
-    orders = [K for _, K in runs]
-    batch = GalerkinRuns([gauss_legendre(n) for n, _ in runs], orders)
+    batch = GalerkinRuns([gauss_legendre(n) for n, _ in runs],
+                         [K for _, K in runs])
 
     if model == "macro2":
         c_nodes = macro.capacity_on_grid(capacity, grid, batch.y_nodes)
-        inits = [pce_macro_init(scenario.rho0_field(), scenario.h0_field(),
-                                K, params, grid) for K in orders]
-        rho_hat = np.concatenate([m.rho_hat for m in inits])
+        rho0 = scenario.rho0_field()
+        rho_hat = batch.deterministic(rho0)
+        z_hat = batch.deterministic(
+            rho0 * (scenario.h0_field() + pressure(rho0, params)))
         return integrate(
-            PceModesMacro(rho_hat, np.concatenate([m.z_hat for m in inits]),
-                          grid, batch.to_nodes(rho_hat)),
-            lambda m, j: pce_macro_step(m, capacity, params, batch, grid,
-                                        c_nodes=c_nodes),
-            lambda m: [expectation_from_macro_modes(
-                PceModesMacro(m.rho_hat[r], m.z_hat[r], grid), params, quad,
-                phi) for quad, phi, r in zip(batch.quads, batch.phis,
-                                             batch.modes)],
+            PceModesMacro(rho_hat, z_hat, batch.to_nodes(rho_hat)),
+            lambda m, j: pce_macro_step(m, batch, c_nodes, params, grid),
+            lambda m: expectation_from_macro_modes(m, batch, params, grid),
             lambda m: macro.check_second_order(m.rho_nodes,
                                                row=batch.node_names),
             params, out_times)
 
-    state = micro_init_from_density(scenario.rho0, params.N, params.L, grid)
-    x_hat = np.concatenate([pce_micro_init(state.positions, K, params.L,
-                                           grid.x_min, grid.length).x_hat
-                            for K in orders])
+    x_hat = batch.deterministic(micro_init_from_density(
+        scenario.rho0, params.N, params.L, grid).positions)
     return integrate(
-        PceModesMicro(x_hat, params.L, grid.x_min, grid.length,
-                      batch.to_nodes(x_hat)),
-        lambda m, j: pce_micro_step(m, capacity, params, batch,
-                                    speed_law=speed_law),
-        lambda m: [expectation_from_micro_modes(
-            replace(m, x_hat=m.x_hat[r], x_nodes=m.x_nodes[q]), grid,
-            params.L, quad) for quad, r, q in zip(batch.quads, batch.modes,
-                                                  batch.nodes)],
+        PceModesMicro(x_hat, batch.to_nodes(x_hat)),
+        lambda m, j: pce_micro_step(m, batch, capacity, params, grid,
+                                    speed_law),
+        lambda m: expectation_from_micro_modes(m, batch, grid, params.L),
         lambda m: micro.check_ordering(
-            micro.periodic_gaps(m.x_nodes, m.road_length),
+            micro.periodic_gaps(m.x_nodes, grid.length),
             row=batch.node_names),
         params, out_times)
-
-
-def run_pce_macro(scenario: Scenario, n_nodes: int, K: int = 0,
-                  out_times=None):
-    """run_pce of the one macro2 run (n_nodes, K): {time: MacroField}."""
-    fields = run_pce(scenario, "macro2", [(n_nodes, K)], out_times)
-    return {t: field for t, (field,) in fields.items()}
-
-
-def run_pce_micro(scenario: Scenario, n_nodes: int, K: int = 0,
-                  out_times=None, speed_law=micro_speed_Vtilde):
-    """run_pce of the one micro run (n_nodes, K): {time: MacroField}."""
-    fields = run_pce(scenario, "micro", [(n_nodes, K)], out_times,
-                     speed_law)
-    return {t: field for t, (field,) in fields.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -213,15 +213,17 @@ def test_quadrature_exactness_and_basis_orthonormality():
 
 def test_pce_with_deterministic_capacity_equals_deterministic_runs():
     sc = paper_comparison_scenario(dx=1e-2, dt=1e-2, N=400, T=1.0)
-    quad = uq.gauss_legendre(3)
+    runs = uq.GalerkinRuns([uq.gauss_legendre(3)], (0,))
+    c_nodes = macro.capacity_on_grid(sc.capacity, sc.grid, runs.y_nodes)
 
     from trafficflow.core import pressure
     rho = sc.rho0_field()
     z = rho * (sc.h0_field() + pressure(rho, sc.params))
-    modes = uq.pce_macro_init(rho, sc.h0_field(), 0, sc.params, sc.grid)
+    rho_hat = runs.deterministic(rho)
+    modes = uq.PceModesMacro(rho_hat, runs.deterministic(z),
+                             runs.to_nodes(rho_hat))
     for _ in range(sc.params.n_steps()):
-        modes = uq.pce_macro_step(modes, sc.capacity, sc.params, quad,
-                                  sc.grid)
+        modes = uq.pce_macro_step(modes, runs, c_nodes, sc.params, sc.grid)
         rho, z = macro.lf_step_conservative(rho, z, sc.capacity, sc.params,
                                             sc.grid)
         assert np.max(np.abs(modes.rho_hat[0] - rho)) <= 1e-12
@@ -229,10 +231,11 @@ def test_pce_with_deterministic_capacity_equals_deterministic_runs():
 
     params = ModelParams(dt=1e-2, T=1.0, N=400, L=1.0 / 400)
     state = micro.micro_init_from_density(sc.rho0, 400, params.L, sc.grid)
-    mmodes = uq.pce_micro_init(state.positions, 0, params.L, sc.grid.x_min,
-                               sc.grid.length)
+    x_hat = runs.deterministic(state.positions)
+    mmodes = uq.PceModesMicro(x_hat, runs.to_nodes(x_hat))
     for _ in range(params.n_steps()):
-        mmodes = uq.pce_micro_step(mmodes, sc.capacity, params, quad)
+        mmodes = uq.pce_micro_step(mmodes, runs, sc.capacity, params,
+                                   sc.grid)
         state = micro.micro_step(state, sc.capacity, params.dt)
         assert np.max(np.abs(mmodes.x_hat[0] - state.positions)) <= 1e-12
 
@@ -243,14 +246,14 @@ def test_pce_with_deterministic_capacity_equals_deterministic_runs():
 
 def test_single_node_pce_equals_mean_accident_size_run():
     sc = accident_scenario(dx=1e-2, dt=1e-2, N=500, T=1.0)
-    pce = uq.run_pce_macro(sc, n_nodes=1, K=0, out_times=(1.0,))[1.0]
-    det = macro.run_conservative(sc.rho0_field(), sc.h0_field(), sc.capacity,
+    pce = uq.run_pce(sc, "macro2", [(1, 0)], out_times=(1.0,))[1.0][0]
+    det = macro.run_second_order(sc.rho0_field(), sc.h0_field(), sc.capacity,
                                  sc.params, sc.grid, y=2.0,
                                  out_times=(1.0,))[1.0]
     assert np.max(np.abs(pce.rho - det.rho)) <= 1e-12
     assert np.max(np.abs(pce.h - det.h)) <= 1e-12
 
-    pce_m = uq.run_pce_micro(sc, n_nodes=1, K=0, out_times=(1.0,))[1.0]
+    pce_m = uq.run_pce(sc, "micro", [(1, 0)], out_times=(1.0,))[1.0][0]
     state = micro.micro_init_from_density(sc.rho0, 500, sc.params.L, sc.grid)
     det_m = micro.run_micro(state, sc.capacity, sc.params, sc.grid, y=2.0,
                             out_times=(1.0,))[1.0]

@@ -244,6 +244,10 @@ def test_negative_initial_value_exits_2_and_names_key(tmp_path, capsys, key,
      "--accident-size"),
     (["compare", "--models", "macro1,micro", "--accident-size", "2"],
      "--accident-size"),
+    # only the Monte Carlo chunks of uq mc and uq convergence run threads
+    (["simulate", "--model", "macro2", "--threads", "2"], "--threads"),
+    (["compare", "--models", "macro1,macro2", "--threads", "2"],
+     "--threads"),
 ])
 def test_simulate_and_compare_reject_unused_flags(tmp_path, capsys, argv,
                                                   flag):
@@ -368,6 +372,9 @@ def test_uq_rejects_inapplicable_or_invalid_flags(tmp_path, capsys):
     assert main(["uq", "mc", "--scenario", str(sc), "--samples", "-1",
                  "--out", str(tmp_path / "z")]) == 2
     assert "-1" in capsys.readouterr().err
+    assert main(["uq", "pce", "--scenario", str(sc), "--threads", "2",
+                 "--out", str(tmp_path / "w")]) == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -441,6 +448,25 @@ def test_analyze_curves_family2_matches_closed_form(tmp_path):
     assert float(last["c"]) == pytest.approx(1.0)
 
 
+def test_analyze_curves_truncation_is_one_stable_line(tmp_path):
+    # family 2 lowers h by 0.0025 sigma, so h = 0.8 leaves h > 0 between
+    # the samples sigma = 300 and 400. Run as its own process, so that
+    # stderr is what a user sees: no path, no source line.
+    src = Path(trafficflow.__file__).parent.parent
+    out = tmp_path / "curves"
+    proc = subprocess.run(
+        [sys.executable, "-m", "trafficflow.cli", "analyze", "curves",
+         "--rho", "0.15", "--h", "0.8", "--c", "0.6", "--family", "2",
+         "--sigma-max", "1000", "--n-steps", "10", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: rarefaction curve left the positivity "
+                           "region at sigma = 400; truncated\n")
+    rows = read_csv_rows(out / "curve_family2.csv")
+    assert [float(r["sigma"]) for r in rows] == [0.0, 100.0, 200.0, 300.0]
+
+
 def test_analyze_rh_zero_for_equal_states(tmp_path):
     out = tmp_path / "rh"
     assert main(["analyze", "rh", "--rho", "0.1", "--h", "1",
@@ -457,16 +483,6 @@ def test_analyze_rh_requires_right_state(tmp_path):
 
 def byte_contents(d):
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
-
-
-def test_runs_are_byte_identical_across_thread_counts(tmp_path):
-    sc = write_scenario(tmp_path)
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    for out, threads in ((out1, "1"), (out2, "8")):
-        assert main(["simulate", "--scenario", str(sc), "--model", "particle",
-                     "--seed", "3", "--threads", threads,
-                     "--out", str(out)]) == 0
-    assert byte_contents(out1) == byte_contents(out2)
 
 
 # Acceptance test 13's scenario: 400 cells, 100 steps, 400 vehicles.

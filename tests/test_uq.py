@@ -36,15 +36,25 @@ from trafficflow.uq import (
     map_chunks,
     monte_carlo,
     pce_convergence_study,
-    pce_macro_init,
     pce_macro_step,
-    pce_micro_init,
     pce_micro_step,
     pool_size,
-    run_pce_macro,
-    run_pce_micro,
     sample_accident_sizes,
 )
+
+
+def deterministic_macro_modes(runs, rho0, h0, params):
+    """The batch's modes of the deterministic data (rho0, h0)."""
+    rho_hat = runs.deterministic(rho0)
+    return uq.PceModesMacro(
+        rho_hat, runs.deterministic(rho0 * (h0 + pressure(rho0, params))),
+        runs.to_nodes(rho_hat))
+
+
+def deterministic_micro_modes(runs, positions):
+    """The batch's modes of the deterministic positions."""
+    x_hat = runs.deterministic(positions)
+    return uq.PceModesMicro(x_hat, runs.to_nodes(x_hat))
 
 
 def with_uq(sc: Scenario, cfg=None) -> Scenario:
@@ -163,11 +173,12 @@ def test_pce_macro_k0_deterministic_equals_conservative_step():
     sc = paper_comparison_scenario(dx=2e-2, dt=2e-2, T=1.0)
     params, grid = sc.params, sc.grid
     rho0, h0 = sc.rho0_field(), sc.h0_field()
-    quad = gauss_legendre(3)
-    modes = pce_macro_init(rho0, h0, 0, params, grid)
+    runs = uq.GalerkinRuns([gauss_legendre(3)], (0,))
+    c_nodes = macro.capacity_on_grid(sc.capacity, grid, runs.y_nodes)
+    modes = deterministic_macro_modes(runs, rho0, h0, params)
     rho, z = rho0, rho0 * (h0 + pressure(rho0, params))
     for _ in range(10):
-        modes = pce_macro_step(modes, sc.capacity, params, quad, grid)
+        modes = pce_macro_step(modes, runs, c_nodes, params, grid)
         rho, z = macro.lf_step_conservative(rho, z, sc.capacity, params, grid)
     assert np.max(np.abs(modes.rho_hat[0] - rho)) <= 1e-12
     assert np.max(np.abs(modes.z_hat[0] - z)) <= 1e-12
@@ -175,11 +186,12 @@ def test_pce_macro_k0_deterministic_equals_conservative_step():
 
 def test_pce_macro_higher_modes_stay_zero_without_randomness():
     sc = paper_comparison_scenario(dx=2e-2, dt=2e-2, T=1.0)
-    modes = pce_macro_init(sc.rho0_field(), sc.h0_field(), 2, sc.params,
-                           sc.grid)
-    quad = gauss_legendre(5)
+    runs = uq.GalerkinRuns([gauss_legendre(5)], (2,))
+    c_nodes = macro.capacity_on_grid(sc.capacity, sc.grid, runs.y_nodes)
+    modes = deterministic_macro_modes(runs, sc.rho0_field(), sc.h0_field(),
+                                      sc.params)
     for _ in range(20):
-        modes = pce_macro_step(modes, sc.capacity, sc.params, quad, sc.grid)
+        modes = pce_macro_step(modes, runs, c_nodes, sc.params, sc.grid)
     assert np.max(np.abs(modes.rho_hat[1:])) <= 1e-12
     assert np.max(np.abs(modes.z_hat[1:])) <= 1e-12
     mass = modes.rho_hat[0].sum() * sc.grid.dx
@@ -190,23 +202,18 @@ def test_pce_macro_higher_modes_stay_zero_without_randomness():
 def test_pce_micro_k0_deterministic_equals_micro_step():
     sc = paper_comparison_scenario(dx=1e-2, dt=1e-2, N=500, T=1.0)
     state = micro.micro_init_from_density(sc.rho0, 500, sc.params.L, sc.grid)
-    modes = pce_micro_init(state.positions, 0, sc.params.L, sc.grid.x_min,
-                           sc.grid.length)
-    quad = gauss_legendre(3)
+    runs = uq.GalerkinRuns([gauss_legendre(3)], (0,))
+    modes = deterministic_micro_modes(runs, state.positions)
     s = state
     for _ in range(10):
-        modes = pce_micro_step(modes, sc.capacity, sc.params, quad)
+        modes = pce_micro_step(modes, runs, sc.capacity, sc.params, sc.grid)
         s = micro.micro_step(s, sc.capacity, sc.params.dt)
     assert np.max(np.abs(modes.x_hat[0] - s.positions)) <= 1e-12
 
 
 def test_pce_requires_enough_nodes():
-    sc = paper_comparison_scenario(dx=2e-2, dt=2e-2, T=1.0)
-    modes = pce_macro_init(sc.rho0_field(), sc.h0_field(), 3, sc.params,
-                           sc.grid)
     with pytest.raises(ConfigError):
-        pce_macro_step(modes, sc.capacity, sc.params, gauss_legendre(2),
-                       sc.grid)
+        uq.GalerkinRuns([gauss_legendre(2)], (3,))
 
 
 def test_pce_macro_zero_density_names_the_node_and_the_cell():
@@ -217,19 +224,19 @@ def test_pce_macro_zero_density_names_the_node_and_the_cell():
     with pytest.raises(NumericalError,
                        match=r"^step 1 \(t = 0\.04\): vanishing density at "
                              r"node 0, cell 100$"):
-        run_pce_macro(sc, n_nodes=3, K=2)
+        uq.run_pce(sc, "macro2", [(3, 2)])
 
 
 def test_pce_single_node_equals_mean_accident_run():
     sc = accident_scenario(dx=1e-2, dt=1e-2, N=500, T=1.0)
-    pce = run_pce_macro(sc, n_nodes=1, K=0, out_times=(1.0,))[1.0]
+    pce = uq.run_pce(sc, "macro2", [(1, 0)], out_times=(1.0,))[1.0][0]
     det = macro.run_second_order(sc.rho0_field(), sc.h0_field(), sc.capacity,
                                  sc.params, sc.grid, y=2.0,
                                  out_times=(1.0,))[1.0]
     assert np.max(np.abs(pce.rho - det.rho)) <= 1e-12
     assert np.max(np.abs(pce.h - det.h)) <= 1e-12
 
-    pce_m = run_pce_micro(sc, n_nodes=1, K=0, out_times=(1.0,))[1.0]
+    pce_m = uq.run_pce(sc, "micro", [(1, 0)], out_times=(1.0,))[1.0][0]
     state = micro.micro_init_from_density(sc.rho0, 500, sc.params.L, sc.grid)
     det_m = micro.run_micro(state, sc.capacity, sc.params, sc.grid, y=2.0,
                             out_times=(1.0,))[1.0]
@@ -243,7 +250,7 @@ def test_pce_macro_single_node_relaxes_like_mean_accident_run():
     sc = Scenario(grid=base.grid, params=replace(base.params, a=1.0),
                   capacity=base.capacity, rho0=base.rho0, h0=base.h0,
                   uq=base.uq)
-    pce = run_pce_macro(sc, n_nodes=1, K=0, out_times=(1.0,))[1.0]
+    pce = uq.run_pce(sc, "macro2", [(1, 0)], out_times=(1.0,))[1.0][0]
     det = macro.run_second_order(sc.rho0_field(), sc.h0_field(), sc.capacity,
                                  sc.params, sc.grid, y=2.0,
                                  out_times=(1.0,))[1.0]
@@ -278,8 +285,9 @@ def test_expected_micro_density_example():
     grid = Grid1D(-4.0, 4.0, 0.5)
     L = 8.0 / 2000
     positions = np.linspace(-4.0, 4.0, 1000, endpoint=False)
-    modes = pce_micro_init(positions, 0, L, -4.0, 8.0)
-    field = uq.expectation_from_micro_modes(modes, grid, L)
+    runs = uq.GalerkinRuns([gauss_legendre(1)], (0,))
+    (field,) = uq.expectation_from_micro_modes(
+        deterministic_micro_modes(runs, positions), runs, grid, L)
     assert np.allclose(field.rho, 0.5)
     assert np.allclose(field.h, headway_H(0.5))
 
@@ -517,16 +525,14 @@ def test_blas_projections_match_einsum_forms(n):
     # the Galerkin steps reconstruct with phi.T @ and project with proj @;
     # these are the einsum forms they replaced, summed in another order
     quad = gauss_legendre(n)
-    phi = legendre_basis(n - 1, quad.y_nodes)
-    proj, half_w = uq.projector(phi, quad), 0.5 * quad.weights
+    runs = uq.GalerkinRuns([quad], (n - 1,))
+    phi, proj, half_w = runs.phis[0], runs.projs[0], 0.5 * quad.weights
     rng = np.random.default_rng(n)
     modes = rng.uniform(-1.0, 1.0, (n, 500))
     nodes = rng.uniform(-1.0, 1.0, (n, 500))
-    rate = rng.uniform(-1.0, 1.0, (1000, n))
     for got, want in [
             (phi.T @ modes, np.einsum("kc,kq->qc", modes, phi)),
             (proj @ nodes, np.einsum("qc,kq,q->kc", nodes, phi, half_w)),
-            (rate @ proj.T, np.einsum("nq,kq,q->nk", rate, phi, half_w)),
             (half_w @ nodes, np.einsum("qc,q->c", nodes, half_w))]:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13
@@ -550,8 +556,8 @@ def test_convergence_study_equals_separate_single_runs(model, a):
     sc = replace(base, params=replace(base.params, a=a))
     ref = monte_carlo(sc, model, 8, seed=1)
     res = pce_convergence_study(sc, model, ref)
-    T, runner = 0.4, run_pce_macro if model == "macro2" else run_pce_micro
-    singles = [runner(sc, n_nodes=n, K=n - 1, out_times=(T,))[T]
+    T = 0.4
+    singles = [uq.run_pce(sc, model, [(n, n - 1)], out_times=(T,))[T][0]
                for n in (1, 3, 5, 7, 9)]
     batch = uq.run_pce(sc, model, [(n, n - 1) for n in (1, 3, 5, 7, 9)],
                        out_times=(T,))[T]
@@ -589,4 +595,4 @@ def test_micro_galerkin_batch_names_the_run_node_and_vehicle():
         uq.run_pce(sc, "micro", [(3, 2), (5, 4), (9, 8)])
     with pytest.raises(OrderingViolationError,
                        match=where + r"node 1, vehicle 289$"):
-        run_pce_micro(sc, n_nodes=3, K=2)
+        uq.run_pce(sc, "micro", [(3, 2)])

@@ -10,16 +10,18 @@ outside both checkouts): work/scenarios/ holds the scenario files, and
 work/<side>/<name>/ the outputs of each command. The list covers the
 benchmark's commands (taken from perfbench/workloads.py of --change),
 `uq mc` and `uq convergence` for macro2 and micro at --threads 1 and 7,
-`uq pce` for both at (nodes, order) = (1, 0), (3, 1), (5, 4) and (9, 8)
-and a = 0 and 1, `simulate` for all four models, `compare` on the
-accident, ramp and constant capacities at a = 0 and 1, one run per model
-that exits 3 (and a Galerkin step and a convergence study that do), the
-particle dt bound (exit 2), and `analyze eigen`, `analyze curves` for
-families 1 to 3 and `analyze rh`, which take no scenario. In stderr the
-output root and the checkout of each side are replaced by <root> and
-<checkout>, so that the two sides can be compared. Prints one line per
-command; exits 1 if a command differs in exit code or files, or in
-stderr while it exits 0 on both sides.
+`uq pce` for both at (nodes, order) = (1, 0), (3, 1), (5, 4), (9, 8) and
+(9, 0) and a = 0 and 1 ((9, 0) is the scenario default, and the one run
+whose expectation takes the mode-0 point value where a quadrature
+average would differ in the last bits), `simulate` for all four models,
+`compare` on the accident, ramp and constant capacities at a = 0 and 1,
+one run per model that exits 3 (and a Galerkin step and a convergence
+study that do), the particle dt bound (exit 2), and `analyze eigen`,
+`analyze curves` for families 1 to 3 and `analyze rh`, which take no
+scenario. In stderr the output root and the checkout of each side are
+replaced by <root> and <checkout>, so that the two sides can be
+compared. Prints one line per command; exits 1 if a command differs in
+exit code or files, or in stderr while it exits 0 on both sides.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def commands(change: Path) -> list:
                               str(MC_SAMPLES), "--seed", "2", "--threads",
                               threads]))
         for a in (0.0, 1.0):
-            for nodes, order in ((1, 0), (3, 1), (5, 4), (9, 8)):
+            for nodes, order in ((1, 0), (3, 1), (5, 4), (9, 8), (9, 0)):
                 runs.append((f"uq_pce_{model}_a{a:g}_n{nodes}_k{order}",
                              _variant(ACCIDENT, params={"a": a}),
                              ["uq", "pce", "--model", model, "--nodes",
