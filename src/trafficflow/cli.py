@@ -71,9 +71,9 @@ def run_model(scenario: Scenario, model: str, seed: int = 0, y=None,
                                       grid, y=y, out_times=out_times,
                                       emit=emit)
     if model == "micro":
-        state = micro.micro_init_from_density(scenario.rho0, params.N,
-                                              params.L, grid)
-        return micro.run_micro(state, capacity, params, grid, y=y,
+        positions = micro.micro_init_from_density(scenario.rho0, params.N,
+                                                  params.L, grid)
+        return micro.run_micro(positions, capacity, params, grid, y=y,
                                out_times=out_times,
                                speed_law=MICRO_SPEED_LAWS[micro_speed],
                                emit=emit)
@@ -119,13 +119,19 @@ def _count(value, flag: str, minimum: int, default=None, maximum=None):
 
 
 def _reject_unused_flags(args, scenario: Scenario, models,
-                         threaded: bool = False) -> None:
-    """Exit 2 on a negative --seed, on --threads for a command without
-    threads, or on a flag that none of the selected models would read."""
+                         uq_mode=None) -> None:
+    """Exit 2 on a negative --seed, or on a flag that the command, its uq
+    mode or all of its models ignore ('uq convergence' fixes its node
+    counts and orders)."""
     _count(args.seed, "--seed", 0)
-    if args.threads is not None and not threaded:
-        raise ConfigError("--threads applies to 'uq mc' and 'uq "
-                          "convergence' only")
+    for flag in ("--threads", "--samples"):
+        if (getattr(args, flag[2:], None) is not None
+                and uq_mode not in ("mc", "convergence")):
+            raise ConfigError(f"{flag} applies to 'uq mc' and 'uq "
+                              f"convergence' only")
+    for flag in ("--nodes", "--order"):
+        if getattr(args, flag[2:], None) is not None and uq_mode != "pce":
+            raise ConfigError(f"{flag} applies to 'uq pce' only")
     if args.micro_speed != "linear" and "micro" not in models:
         raise ConfigError("--micro-speed applies to the micro model only")
     if (args.accident_size is not None
@@ -228,8 +234,7 @@ def cmd_uq(args) -> int:
     if args.accident_size is not None:
         raise ConfigError("--accident-size does not apply to uq commands: "
                           "the accident size is the random input there")
-    _reject_unused_flags(args, scenario, (model,),
-                         threaded=args.uq_mode != "pce")
+    _reject_unused_flags(args, scenario, (model,), args.uq_mode)
     threads = _count(args.threads, "--threads", 0, 0)
     speed_law = MICRO_SPEED_LAWS[args.micro_speed]
     n_samples = _count(args.samples, "--samples", 1, scenario.uq.n_samples,

@@ -260,8 +260,9 @@ def integrate(state, step, observe, check, params: ModelParams,
     one validity rule in one vectorised pass, returns None or the
     NumericalError naming the first bad entry (first_invalid). It runs on
     the initial state after the t = 0 snapshot, as step 1, and on the
-    result of every step j before it is observed; its error is raised with
-    "step j (t = ...): " in front. Steps and closures check nothing, and
+    result of every step j before it is observed; its error, and a
+    NumericalError of observe at step j, is raised with "step j (t = ...): "
+    in front. Steps and closures check nothing, and
     run with numpy's floating-point warnings off: the check reports a
     state they made invalid, once.
 
@@ -274,20 +275,29 @@ def integrate(state, step, observe, check, params: ModelParams,
     if emit is None:
         emit = snapshots.__setitem__
 
+    def located(error, j):
+        return type(error)(f"step {j} (t = {j * params.dt:.6g}): {error}")
+
     def checked(state, j):
         error = check(state)
         if error is not None:
-            raise type(error)(f"step {j} (t = {j * params.dt:.6g}): {error}")
+            raise located(error, j)
         return state
+
+    def observed(state, j):
+        try:
+            return observe(state)
+        except NumericalError as error:
+            raise located(error, j) from None
 
     with np.errstate(all="ignore"):
         if 0 in out:
-            emit(out[0], observe(state))
+            emit(out[0], observed(state, 0))
         checked(state, 1)
         for j in range(1, params.n_steps() + 1):
             state = checked(step(state, j), j)
             if j in out:
-                emit(out[j], observe(state))
+                emit(out[j], observed(state, j))
     return snapshots
 
 
@@ -453,10 +463,14 @@ class MacroField:
         if rho.shape != h.shape or rho.shape[-1:] != (self.grid.n_cells,):
             raise ConfigError("field arrays must share one shape whose last "
                               "axis matches the grid cell count")
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(h))):
-            raise NumericalError("non-finite values in macroscopic field")
-        # Tolerate rounding-level negatives, reject anything real.
-        if np.any(rho < -1e-12) or np.any(h < -1e-12):
-            raise NumericalError("negative values in macroscopic field")
+        # Tolerate rounding-level negatives, reject anything real; the
+        # error names the field, and the row and cell of its first bad entry
+        for test, what in ((np.isfinite, "non-finite"),
+                           (lambda v: v >= -1e-12, "negative")):
+            for name, v in (("rho", rho), ("h", h)):
+                error = first_invalid(test(v), f"{what} values in "
+                                      f"macroscopic field {name}", "cell")
+                if error is not None:
+                    raise error
         object.__setattr__(self, "rho", np.maximum(rho, 0.0))
         object.__setattr__(self, "h", np.maximum(h, 0.0))

@@ -7,8 +7,6 @@ The leader of the last vehicle is the first one shifted by the road length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .core import (
@@ -29,36 +27,6 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class MicroState:
-    """Ordered vehicle positions on a periodic road."""
-
-    positions: np.ndarray  # strictly increasing, unwrapped
-    L: float
-    x_min: float
-    road_length: float
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        object.__setattr__(self, "positions", pos)
-        if self.L <= 0 or self.road_length <= 0:
-            raise ConfigError("vehicle length and road length must be positive")
-        gaps = self.gaps()
-        if (error := check_ordering(gaps, "non-positive gap")) is not None:
-            raise error
-        total = gaps.sum()
-        if abs(total - self.road_length) > 1e-9 * self.road_length:
-            raise ConfigError(
-                f"gaps sum to {total}, expected road length {self.road_length}")
-
-    @property
-    def N(self) -> int:
-        return len(self.positions)
-
-    def gaps(self) -> np.ndarray:
-        return periodic_gaps(self.positions, self.road_length)
-
-
 def periodic_gaps(positions: np.ndarray, road_length: float,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Headways s_i = x_{i+1} - x_i along the last axis, with periodic wrap;
@@ -74,8 +42,10 @@ def periodic_gaps(positions: np.ndarray, road_length: float,
     return gaps
 
 
-def micro_init_from_density(rho0, N: int, L: float, grid: Grid1D) -> MicroState:
-    """Place N vehicles so the local densities reproduce the profile rho0.
+def micro_init_from_density(rho0, N: int, L: float,
+                            grid: Grid1D) -> np.ndarray:
+    """Positions of N vehicles in increasing order on one lap from
+    grid.x_min, whose local densities reproduce the profile rho0.
 
     Uses cumulative-mass inversion: consecutive vehicles are separated by
     equal increments of the integrated density, so L / gap tracks rho0 away
@@ -112,15 +82,20 @@ def micro_init_from_density(rho0, N: int, L: float, grid: Grid1D) -> MicroState:
                           (targets - cum[seg]) / np.where(dens[seg] > 0,
                                                           dens[seg], 1.0),
                           0.0)
-    positions = edges[seg] + offset
-    return MicroState(positions=positions, L=L, x_min=grid.x_min,
-                      road_length=grid.length)
+    return edges[seg] + offset
 
 
 def _check_euler_dt(dt: float, capacity: CapacitySpec) -> None:
+    """The Euler step's stability bound dt <= 1 / (||c|| ||Vtilde||), with
+    ||Vtilde|| = 1. It does not keep the vehicle order: behind a stopped
+    leader a gap g becomes g - dt (1 - L/g), which is negative for g = 2L
+    whenever dt > 4L. The run's per-step ordering check reports that case
+    as a numerical failure (exit 3 in the CLI)."""
     if dt > 1.0 / capacity_max(capacity) + 1e-12:
         raise ConfigError(
-            f"dt = {dt} exceeds 1 / (||c|| ||Vtilde||) for the Euler step")
+            f"dt = {dt} exceeds the Euler stability bound 1 / (||c|| "
+            f"||Vtilde||); within it the vehicle order can still be lost, "
+            f"which the check of each step reports")
 
 
 def check_ordering(gaps: np.ndarray, what: str = "vehicle ordering lost",
@@ -131,13 +106,13 @@ def check_ordering(gaps: np.ndarray, what: str = "vehicle ordering lost",
                          OrderingViolationError)
 
 
-def _capacity_and_speed(positions: np.ndarray, L: float, x_min: float,
-                        road_length: float, capacity: CapacitySpec, y,
-                        speed_law, gaps: np.ndarray | None = None,
+def _capacity_and_speed(positions: np.ndarray, capacity: CapacitySpec,
+                        params: ModelParams, grid: Grid1D, y, speed_law,
+                        gaps: np.ndarray | None = None,
                         wrapped: np.ndarray | None = None):
     """Capacity c and speed of every vehicle (last axis), whose product is
-    the Euler rate. speed_law(u, out=) maps the occupancy ratio L / gap to
-    a speed, floored at zero so vehicles never reverse.
+    the Euler rate. speed_law(u, out=) maps the occupancy ratio
+    params.L / gap to a speed, floored at zero so vehicles never reverse.
 
     gaps, if given, holds periodic_gaps(positions) and is overwritten with
     the speed; wrapped, if given, receives the wrapped positions. Nothing
@@ -145,21 +120,22 @@ def _capacity_and_speed(positions: np.ndarray, L: float, x_min: float,
     a read-only broadcast view.
     """
     if gaps is None:
-        gaps = periodic_gaps(positions, road_length)
-    c = capacity_eval(capacity, _periodic_wrap(positions, x_min, road_length,
-                                               wrapped), y)
-    speed = speed_law(np.divide(L, gaps, out=gaps), out=gaps)
+        gaps = periodic_gaps(positions, grid.length)
+    c = capacity_eval(capacity, _periodic_wrap(positions, grid.x_min,
+                                               grid.length, wrapped), y)
+    speed = speed_law(np.divide(params.L, gaps, out=gaps), out=gaps)
     return c, np.maximum(speed, 0.0, out=speed)
 
 
-def advance_positions(positions: np.ndarray, L: float, x_min: float,
-                      road_length: float, capacity: CapacitySpec, dt: float,
-                      y=None, speed_law=micro_speed_Vtilde,
+def advance_positions(positions: np.ndarray, capacity: CapacitySpec,
+                      params: ModelParams, grid: Grid1D, y=None,
+                      speed_law=micro_speed_Vtilde,
                       gaps: np.ndarray | None = None,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """One explicit Euler step on an array of positions (last axis = vehicles),
-    with speeds evaluated at the pre-step positions; returns
-    positions + dt * c * speed, bit for bit, and leaves positions unchanged.
+    """One explicit Euler step of params.dt on an array of positions (last
+    axis = vehicles) on the periodic road of grid, with speeds evaluated at
+    the pre-step positions; returns positions + dt * c * speed, bit for
+    bit, and leaves positions unchanged.
 
     gaps, if given, must hold periodic_gaps(positions); the step overwrites
     it with the gaps of the new positions, so a loop that passes the same
@@ -168,25 +144,14 @@ def advance_positions(positions: np.ndarray, L: float, x_min: float,
     neither positions nor gaps; the new positions are written into it.
     """
     if gaps is None:
-        gaps = periodic_gaps(positions, road_length)
-    c, speed = _capacity_and_speed(positions, L, x_min, road_length,
-                                   capacity, y, speed_law, gaps, out)
-    new = np.multiply(c, dt, out=out)
+        gaps = periodic_gaps(positions, grid.length)
+    c, speed = _capacity_and_speed(positions, capacity, params, grid, y,
+                                   speed_law, gaps, out)
+    new = np.multiply(c, params.dt, out=out)
     new *= speed
     new += positions
-    periodic_gaps(new, road_length, out=gaps)
+    periodic_gaps(new, grid.length, out=gaps)
     return new
-
-
-def micro_step(state: MicroState, capacity: CapacitySpec, dt: float,
-               y=None, speed_law=micro_speed_Vtilde) -> MicroState:
-    """One Euler step of a single state; the new MicroState rejects a step
-    that loses the vehicle ordering."""
-    _check_euler_dt(dt, capacity)
-    new = advance_positions(state.positions, state.L, state.x_min,
-                            state.road_length, capacity, dt, y,
-                            speed_law=speed_law)
-    return replace(state, positions=new)
 
 
 def sample_density(positions: np.ndarray, L: float, grid: Grid1D) -> np.ndarray:
@@ -205,32 +170,32 @@ def sample_density(positions: np.ndarray, L: float, grid: Grid1D) -> np.ndarray:
     return np.take_along_axis(dens, idx, axis=-1)
 
 
-def micro_fields(positions: np.ndarray, L: float, grid: Grid1D) -> MacroField:
-    rho = sample_density(positions, L, grid)
-    return MacroField(rho=rho, h=headway_H(rho), grid=grid)
-
-
-def run_micro(state: MicroState, capacity: CapacitySpec, params: ModelParams,
-              grid: Grid1D, y=None, out_times=None,
+def run_micro(positions: np.ndarray, capacity: CapacitySpec,
+              params: ModelParams, grid: Grid1D, y=None, out_times=None,
               speed_law=micro_speed_Vtilde, emit=None):
-    """Integrate to params.T; returns {time: MacroField} at requested times
-    (or hands each to emit, see core.integrate). A y array runs one row of
-    positions per value (fields of shape (len(y), n_cells))."""
+    """Integrate the vehicle positions (increasing, on one lap of the road
+    of grid) to params.T; returns {time: MacroField} at requested times (or
+    hands each to emit, see core.integrate). A y array runs one row of
+    positions per value (fields of shape (len(y), n_cells)). dt is checked
+    once here, and the vehicle order at entry and after every step."""
     _check_euler_dt(params.dt, capacity)
-    shape = np.shape(y) + (state.N,)
+    shape = np.shape(y) + np.shape(positions)
     if y is not None:
         y = np.asarray(y, dtype=float)[..., None]
-    positions = np.broadcast_to(state.positions, shape)
-    gaps = periodic_gaps(positions, state.road_length)  # updated by each step
+    positions = np.broadcast_to(np.asarray(positions, dtype=float), shape)
+    gaps = periodic_gaps(positions, grid.length)  # updated by each step
     # the steps alternate between the arrays of pair, so none allocates a
     # position array (whether glibc then trimmed the heap top, and the next
     # step faulted it back in, hung on where its temporaries landed)
     pair = (np.empty(shape), np.empty(shape))
+
+    def observe(pos):
+        rho = sample_density(pos, params.L, grid)
+        return MacroField(rho=rho, h=headway_H(rho), grid=grid)
+
     return integrate(
         positions,
-        lambda pos, j: advance_positions(pos, state.L, state.x_min,
-                                         state.road_length, capacity,
-                                         params.dt, y, speed_law=speed_law,
-                                         gaps=gaps, out=pair[pos is pair[0]]),
-        lambda pos: micro_fields(pos, state.L, grid),
-        lambda pos: check_ordering(gaps), params, out_times, emit)
+        lambda pos, j: advance_positions(pos, capacity, params, grid, y,
+                                         speed_law, gaps,
+                                         out=pair[pos is pair[0]]),
+        observe, lambda pos: check_ordering(gaps), params, out_times, emit)

@@ -149,7 +149,6 @@ def _check_dt(params: ModelParams) -> None:
 def particle_step(ens: ParticleEnsemble, params: ModelParams,
                   capacity: CapacitySpec, grid: Grid1D,
                   rng: np.random.Generator, y=None) -> ParticleEnsemble:
-    _check_dt(params)
     dt = params.dt
     x, s = ens.x, ens.s
     xw = grid.wrap(x)

@@ -172,6 +172,8 @@ class GalerkinRuns:
     node values, whose mapped nodes are y_nodes and names node_names."""
 
     def __init__(self, quads, orders):
+        if not quads:
+            raise ConfigError("need at least one Galerkin run")
         for quad, K in zip(quads, orders):
             if K + 1 > quad.n:
                 raise ConfigError(f"order {K} needs at least {K + 1} "
@@ -246,9 +248,9 @@ def pce_micro_step(modes: PceModesMicro, runs: GalerkinRuns,
     rates of the deterministic step, with the follow-the-leader law
     speed_law, at the node positions, projected back onto the modes. The
     result carries its node positions."""
-    c, speed = micro._capacity_and_speed(
-        modes.x_nodes, params.L, grid.x_min, grid.length, capacity,
-        runs.y_nodes[:, None], speed_law)
+    c, speed = micro._capacity_and_speed(modes.x_nodes, capacity, params,
+                                         grid, runs.y_nodes[:, None],
+                                         speed_law)
     x_hat = modes.x_hat + params.dt * runs.to_modes(c * speed)
     return PceModesMicro(x_hat=x_hat, x_nodes=runs.to_nodes(x_hat))
 
@@ -336,7 +338,7 @@ def run_pce(scenario: Scenario, model: str, runs, out_times=None,
             params, out_times)
 
     x_hat = batch.deterministic(micro_init_from_density(
-        scenario.rho0, params.N, params.L, grid).positions)
+        scenario.rho0, params.N, params.L, grid))
     return integrate(
         PceModesMicro(x_hat, batch.to_nodes(x_hat)),
         lambda m, j: pce_micro_step(m, batch, capacity, params, grid,
@@ -507,12 +509,12 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
     else:
         # the capacity is evaluated at each vehicle's position, so every
         # sample is distinct work
-        state = micro_init_from_density(scenario.rho0, params.N, params.L,
-                                        grid)
+        positions = micro_init_from_density(scenario.rho0, params.N,
+                                            params.L, grid)
         expand = slice(None)
 
         def final(y):
-            return micro.run_micro(state, capacity, params, grid, y=y,
+            return micro.run_micro(positions, capacity, params, grid, y=y,
                                    out_times=(T,), speed_law=speed_law)[T]
 
     # Rows evolve in chunks small enough to stay cache-resident, and fewer

@@ -230,14 +230,14 @@ def test_pce_with_deterministic_capacity_equals_deterministic_runs():
         assert np.max(np.abs(modes.z_hat[0] - z)) <= 1e-12
 
     params = ModelParams(dt=1e-2, T=1.0, N=400, L=1.0 / 400)
-    state = micro.micro_init_from_density(sc.rho0, 400, params.L, sc.grid)
-    x_hat = runs.deterministic(state.positions)
+    x = micro.micro_init_from_density(sc.rho0, 400, params.L, sc.grid)
+    x_hat = runs.deterministic(x)
     mmodes = uq.PceModesMicro(x_hat, runs.to_nodes(x_hat))
     for _ in range(params.n_steps()):
         mmodes = uq.pce_micro_step(mmodes, runs, sc.capacity, params,
                                    sc.grid)
-        state = micro.micro_step(state, sc.capacity, params.dt)
-        assert np.max(np.abs(mmodes.x_hat[0] - state.positions)) <= 1e-12
+        x = micro.advance_positions(x, sc.capacity, params, sc.grid)
+        assert np.max(np.abs(mmodes.x_hat[0] - x)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

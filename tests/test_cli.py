@@ -392,6 +392,14 @@ def test_uq_rejects_inapplicable_or_invalid_flags(tmp_path, capsys):
     (["uq", "convergence", "--samples", "1" + "0" * 300], "--samples"),
     (["uq", "pce", "--nodes", "101"], "--nodes"),
     (["uq", "pce", "--order", "100"], "--order"),
+    # a count the mode does not read: uq pce reads the node count and
+    # order, the Monte Carlo modes the sample count, and uq convergence
+    # fixes its node counts and orders
+    (["uq", "pce", "--samples", "7"], "--samples"),
+    (["uq", "mc", "--nodes", "5"], "--nodes"),
+    (["uq", "mc", "--order", "3"], "--order"),
+    (["uq", "convergence", "--nodes", "5"], "--nodes"),
+    (["uq", "convergence", "--order", "3"], "--order"),
 ])
 def test_bad_counts_exit_2_and_name_flag(tmp_path, capsys, argv, flag):
     sc = write_scenario(tmp_path, capacity={"variant": "accident"})
@@ -510,7 +518,7 @@ def test_monte_carlo_on_several_chunks_is_byte_identical_across_threads(
     for threads in ("1", "2", "0"):
         out = tmp_path / f"threads{threads}"
         assert main(["uq", mode, "--scenario", str(sc), "--model", model,
-                     "--samples", "130", "--seed", "9", "--nodes", "3",
+                     "--samples", "130", "--seed", "9",
                      "--threads", threads, "--out", str(out)]) == 0
         outputs.append(byte_contents(out))
     meta = json.loads(outputs[0]["metadata.json"])
@@ -678,6 +686,31 @@ def test_failing_galerkin_study_names_step_time_run_node_and_cell(tmp_path,
     assert not (out / "convergence.csv").exists()
     # the Monte Carlo phase finished, so its summary is kept
     assert (out / "mc_summary.csv").exists()
+
+
+def test_negative_macro2_headway_names_step_time_field_and_cell(tmp_path,
+                                                              capsys):
+    # the queue at the ramp's entry drives the headway z/rho - p(rho) below
+    # zero from step 98 on: only the snapshots see it, so the run fails at
+    # the first output time after that step
+    sc = write_scenario(
+        tmp_path, domain={"xmin": -1.0, "xmax": 1.0, "dx": 0.01},
+        params={"gamma": 1.0, "eta": 1.0, "epsilon": 1.0, "a": 0.0,
+                "dt": 0.01, "T": 2.0},
+        capacity={"variant": "piecewise_ramp", "c_low": 0.2,
+                  "x_left": -0.5, "x_right": 0.5, "delta": 0.1},
+        initial={"rho": [{"x_lt": 0.0, "value": 0.5},
+                         {"x_lt": 1.0, "value": 5.0}],
+                 "h": [{"x_lt": 0.3, "value": 0.05},
+                       {"x_lt": 1.0, "value": 2.0}]})
+    argv = ["simulate", "--scenario", str(sc), "--model", "macro2"]
+    assert main(argv + ["--times", "0,0.9", "--out",
+                        str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: step 100 (t = 1): negative values in "
+        "macroscopic field h at cell 17\n")
 
 
 def test_numerical_failure_writes_one_line_and_no_numpy_warning(tmp_path):

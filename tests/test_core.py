@@ -390,6 +390,20 @@ def test_macro_field_rejects_negative_density():
         MacroField(rho=np.array([-0.1, 0.1]), h=np.ones(2), grid=grid)
 
 
+def test_macro_field_names_the_field_row_and_cell_of_a_bad_entry():
+    grid = Grid1D(0.0, 1.0, 0.5)
+    h = np.ones((2, 2))
+    h[1, 0] = -0.1
+    with pytest.raises(NumericalError, match="^negative values in "
+                       "macroscopic field h at row 1, cell 0$"):
+        MacroField(rho=np.ones((2, 2)), h=h, grid=grid)
+    # a non-finite entry is named first, whichever field holds it
+    with pytest.raises(NumericalError, match="^non-finite values in "
+                       "macroscopic field h at row 0, cell 1$"):
+        MacroField(rho=-np.ones((2, 2)), h=np.array([[1, np.nan], [1, 1]]),
+                   grid=grid)
+
+
 def test_macro_field_takes_leading_axes_and_rejects_shape_mismatch():
     grid = Grid1D(0.0, 1.0, 0.5)
     f = MacroField(rho=np.ones((3, 2)), h=np.ones((3, 2)), grid=grid)

@@ -141,11 +141,14 @@ def command_lines(draw):
             ["macro2,particle", "macro1,micro",
              "macro1,macro2,micro,particle"])), "--accident-size": "1.5"}
     else:
-        nodes = draw(st.integers(1, 3))
-        flags = {"--model": draw(st.sampled_from(["macro2", "micro"])),
-                 "--samples": str(draw(st.integers(1, 4))),
-                 "--nodes": str(nodes),
-                 "--order": str(draw(st.integers(0, nodes - 1)))}
+        # each uq mode gets the counts it reads
+        flags = {"--model": draw(st.sampled_from(["macro2", "micro"]))}
+        if command == "uq pce":
+            nodes = draw(st.integers(1, 3))
+            flags["--nodes"] = str(nodes)
+            flags["--order"] = str(draw(st.integers(0, nodes - 1)))
+        else:
+            flags["--samples"] = str(draw(st.integers(1, 4)))
     flags["--seed"] = str(draw(st.integers(0, 5)))
     # what argparse itself would reject: a flag the command lacks, a uq
     # model it does not offer, or no --models for compare

@@ -142,15 +142,15 @@ def test_rng_stream_reproducibility():
     assert not np.array_equal(a, c)
 
 
-def test_particle_step_rejects_large_dt():
+def test_run_particle_rejects_large_dt():
     grid = Grid1D(0.0, 1.0, 0.5)
     params = ModelParams(epsilon=1e-3, dt=0.9, T=0.9)
     ens = ParticleEnsemble(x=np.array([0.2]), s=np.array([1.0]), weight=1.0)
     # dt = 0.9 <= min(1, 1/epsilon) is fine; dt above 1 is rejected upstream
-    particle_step(ens, params, C1, grid, RngStream(0, 0).generator())
+    run_particle(ens, C1, params, grid, seed=0)
     with pytest.raises(ConfigError):
         bad = ModelParams(epsilon=2.0, dt=0.9, T=0.9)
-        particle_step(ens, bad, C1, grid, RngStream(0, 0).generator())
+        run_particle(ens, C1, bad, grid, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -199,16 +199,22 @@ def test_pce_macro_higher_modes_stay_zero_without_randomness():
                                  rel=1e-10)
 
 
-def test_pce_micro_k0_deterministic_equals_micro_step():
+def test_pce_micro_k0_deterministic_equals_advance_positions():
     sc = paper_comparison_scenario(dx=1e-2, dt=1e-2, N=500, T=1.0)
-    state = micro.micro_init_from_density(sc.rho0, 500, sc.params.L, sc.grid)
+    x = micro.micro_init_from_density(sc.rho0, 500, sc.params.L, sc.grid)
     runs = uq.GalerkinRuns([gauss_legendre(3)], (0,))
-    modes = deterministic_micro_modes(runs, state.positions)
-    s = state
+    modes = deterministic_micro_modes(runs, x)
     for _ in range(10):
         modes = pce_micro_step(modes, runs, sc.capacity, sc.params, sc.grid)
-        s = micro.micro_step(s, sc.capacity, sc.params.dt)
-    assert np.max(np.abs(modes.x_hat[0] - s.positions)) <= 1e-12
+        x = micro.advance_positions(x, sc.capacity, sc.params, sc.grid)
+    assert np.max(np.abs(modes.x_hat[0] - x)) <= 1e-12
+
+
+def test_run_pce_rejects_an_empty_run_list():
+    sc = accident_scenario(dx=4e-2, dt=4e-2, N=200, T=0.4)
+    for model in ("macro2", "micro"):
+        with pytest.raises(ConfigError, match="at least one Galerkin run"):
+            uq.run_pce(sc, model, [])
 
 
 def test_pce_requires_enough_nodes():

@@ -15,10 +15,10 @@ benchmark's commands (taken from perfbench/workloads.py of --change),
 whose expectation takes the mode-0 point value where a quadrature
 average would differ in the last bits), `simulate` for all four models,
 `compare` on the accident, ramp and constant capacities at a = 0 and 1,
-one run per model that exits 3 (and a Galerkin step and a convergence
-study that do), the particle dt bound (exit 2), and `analyze eigen`,
-`analyze curves` for families 1 to 3 and `analyze rh`, which take no
-scenario. In stderr the output root and the checkout of each side are
+one run per model that exits 3 (and a Galerkin step, a convergence
+study and a macro2 snapshot with a negative headway that do), the
+particle dt bound (exit 2), and `analyze eigen`, `analyze curves` for
+families 1 to 3 and `analyze rh`, which take no scenario. In stderr the output root and the checkout of each side are
 replaced by <root> and <checkout>, so that the two sides can be
 compared. Prints one line per command; exits 1 if a command differs in
 exit code or files, or in stderr while it exits 0 on both sides.
@@ -112,7 +112,9 @@ def commands(change: Path) -> list:
     # Galerkin nodes, though not in the one Monte Carlo sample (the
     # convergence study), a jam that a fast follower runs into (micro; N L
     # is the mass, so rho = L / gap), and a headway that interaction and
-    # relaxation in one step drive below zero (particle)
+    # relaxation in one step drive below zero (particle); and a queue at a
+    # ramp whose macro2 headway z/rho - p(rho) turns negative, which only
+    # the snapshot at t = 1 sees
     huge = {"rho": [{"x_lt": 4.0, "value": 1e308}], "h": INITIAL["h"]}
     drained = {"rho": [{"x_lt": 2.0, "value": 0.15},
                        {"x_lt": 4.0, "value": 1.5e-12}], "h": INITIAL["h"]}
@@ -134,6 +136,17 @@ def commands(change: Path) -> list:
         ("exit3_convergence_macro2", _variant(ACCIDENT, initial=drained),
          ["uq", "convergence", "--model", "macro2", "--samples", "1",
           "--seed", "0"]),
+        ("exit3_macro2_headway", {
+            "domain": {"xmin": -1.0, "xmax": 1.0, "dx": 0.01},
+            "params": {"gamma": 1.0, "eta": 1.0, "epsilon": 1.0, "a": 0.0,
+                       "dt": 0.01, "T": 2.0},
+            "capacity": {"variant": "piecewise_ramp", "c_low": 0.2,
+                         "x_left": -0.5, "x_right": 0.5, "delta": 0.1},
+            "initial": {"rho": [{"x_lt": 0.0, "value": 0.5},
+                                {"x_lt": 1.0, "value": 5.0}],
+                        "h": [{"x_lt": 0.3, "value": 0.05},
+                              {"x_lt": 1.0, "value": 2.0}]}},
+         ["simulate", "--model", "macro2"]),
         ("exit3_micro", _variant(SIMULATE, initial=jam,
                                  params={"N": 100, "L": 0.042, "dt": 1.0,
                                          "T": 2.0}),
