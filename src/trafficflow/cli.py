@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, macro, micro, output, uq
+from . import analysis, macro, micro, output, particle, uq
 from .core import (
     AccidentCapacity,
     ConfigError,
@@ -30,7 +30,6 @@ from .core import (
     micro_speed_Vtilde,
     micro_speed_equilibrium,
 )
-from .particle import particle_init, run_particle
 from .scenario import (
     KNOWN_MODELS,
     MAX_PCE_NODES,
@@ -52,36 +51,42 @@ MICRO_SPEED_LAWS = {
 
 
 def run_model(scenario: Scenario, model: str, seed: int = 0, y=None,
-              out_times=None, micro_speed: str = "linear", emit=None):
+              out_times=None, micro_speed: str = "linear", emit=None,
+              defer: bool = False):
     """Run one model on the scenario grid; returns {time: MacroField}, or
-    hands each snapshot to emit as it is observed (see core.integrate)."""
+    hands each snapshot to emit as it is observed (see core.integrate).
+    With defer, only check the model and build its initial state, and
+    return run(), which runs the model from that state."""
     params, grid, capacity = scenario.params, scenario.grid, scenario.capacity
     if isinstance(capacity, AccidentCapacity) and y is None:
         raise ConfigError("accident capacity requires --accident-size (or a "
                           "uq command) to fix the half-width Y")
     if micro_speed not in MICRO_SPEED_LAWS:
         raise ConfigError(f"unknown micro speed law {micro_speed!r}")
-    if model == "macro1":
-        return macro.run_first_order(scenario.rho0_field(), capacity, params,
-                                     grid, y=y, out_times=out_times,
-                                     emit=emit)
-    if model == "macro2":
-        return macro.run_second_order(scenario.rho0_field(),
-                                      scenario.h0_field(), capacity, params,
-                                      grid, y=y, out_times=out_times,
-                                      emit=emit)
-    if model == "micro":
-        positions = micro.micro_init_from_density(scenario.rho0, params.N,
-                                                  params.L, grid)
-        return micro.run_micro(positions, capacity, params, grid, y=y,
-                               out_times=out_times,
-                               speed_law=MICRO_SPEED_LAWS[micro_speed],
-                               emit=emit)
-    if model == "particle":
-        ens = particle_init(scenario.rho0, scenario.h0, params.N, grid)
-        return run_particle(ens, capacity, params, grid, seed=seed, y=y,
-                            out_times=out_times, emit=emit)
-    raise ConfigError(f"unknown model {model!r}")
+    options = dict(y=y, out_times=out_times, emit=emit)
+    if model in ("macro1", "macro2"):
+        macro.cfl_check(params, capacity, grid)
+        state, runner = [scenario.rho0_field()], macro.run_first_order
+        if model == "macro2":
+            state.append(scenario.h0_field())
+            runner = macro.run_second_order
+    elif model == "micro":
+        state = [micro.micro_init_from_density(scenario.rho0, params.N,
+                                               params.L, grid)]
+        micro._check_euler_dt(params.dt, capacity)
+        runner = micro.run_micro
+        options["speed_law"] = MICRO_SPEED_LAWS[micro_speed]
+    elif model == "particle":
+        state = [particle.particle_init(scenario.rho0, scenario.h0,
+                                        params.N, grid)]
+        particle._check_dt(params)
+        runner, options["seed"] = particle.run_particle, seed
+    else:
+        raise ConfigError(f"unknown model {model!r}")
+
+    def run():
+        return runner(*state, capacity, params, grid, **options)
+    return run if defer else run()
 
 
 def _parse_times(arg, params: ModelParams):
@@ -193,18 +198,20 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
     models = args.models.split(",")
-    for m in models:
-        if m not in KNOWN_MODELS:
-            raise ConfigError(f"unknown model {m!r}")
     _reject_unused_flags(args, scenario, models)
     out_dir = Path(args.out)
     T = scenario.params.T
-    finals = {}
+    runs = []  # every model is checked before the first one steps
     for m in models:
         emit, kept = _fields_writer(out_dir,
-                                    lambda t: f"fields_{m}_t{t:g}.csv")
-        run_model(scenario, m, seed=args.seed, y=args.accident_size,
-                  out_times=(0.0, T), micro_speed=args.micro_speed, emit=emit)
+                                    lambda t, m=m: f"fields_{m}_t{t:g}.csv")
+        runs.append((m, kept, run_model(
+            scenario, m, seed=args.seed, y=args.accident_size,
+            out_times=(0.0, T), micro_speed=args.micro_speed, emit=emit,
+            defer=True)))
+    finals = {}
+    for m, kept, run in runs:
+        run()
         finals[m] = kept["last"]
 
     lines = ["model_a,model_b,l1_rho,l1_rho_rel"]
@@ -243,6 +250,9 @@ def cmd_uq(args) -> int:
                      MAX_PCE_NODES)
     order = _count(args.order, "--order", 0, scenario.uq.pce_order,
                    MAX_PCE_NODES - 1)
+    if args.uq_mode != "mc" and not scenario.uq.is_uniform:
+        raise ConfigError("the Galerkin expansion supports the uniform law "
+                          "(alpha = beta = 1) only")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -262,9 +272,6 @@ def cmd_uq(args) -> int:
         output.write_stats_csv(out_dir / "mc_summary.csv", stats)
         meta.update(n_samples=n_samples, mc_rows_solved=stats.rows_solved)
     elif args.uq_mode == "pce":
-        if scenario.uq.distribution != "uniform":
-            raise ConfigError("the Galerkin expansion supports the uniform "
-                              "distribution only")
         fields = uq.run_pce(scenario, model, [(n_nodes, order)],
                             out_times=(scenario.params.T,),
                             speed_law=speed_law)
@@ -273,9 +280,6 @@ def cmd_uq(args) -> int:
                 out_dir / f"pce_expectation_t{t:g}.csv", field)
         meta.update(n_nodes=n_nodes, order=order)
     elif args.uq_mode == "convergence":
-        if scenario.uq.distribution != "uniform":
-            raise ConfigError("the Galerkin expansion supports the uniform "
-                              "distribution only")
         stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed,
                                speed_law=speed_law, threads=threads)
         # written first, so that a Galerkin study that fails keeps it

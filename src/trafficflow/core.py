@@ -49,7 +49,8 @@ def _periodic_wrap(x, x_min: float, length: float, out=None):
     +0.0); adding an x_min that is never -0.0 maps both to the same result.
     fmod(r, length) is r itself for r in [0, length), so arrays run fmod
     only on the offsets outside it (NaN and +-inf included), which are
-    usually few.
+    usually few. A tiny negative r (-1e-300, say) maps to x_min + length,
+    as in the np.mod form, because r + length rounds to length.
     """
     x = np.asarray(x, dtype=float)
     x_min = float(x_min) + 0.0  # -0.0 -> +0.0
@@ -129,11 +130,12 @@ class Grid1D:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
     def wrap(self, x):
-        """Map positions into [x_min, x_max)."""
+        """Map positions into [x_min, x_max]: to x_max only from just below
+        x_min, within a rounding error (see _periodic_wrap)."""
         return _periodic_wrap(x, self.x_min, self.length)
 
     def cell_index(self, x) -> np.ndarray:
-        """Cell containing each position, wrapped onto the periodic road."""
+        """Cell of each wrapped position; x_max is clipped into the last."""
         idx = np.floor((self.wrap(x) - self.x_min) / self.dx).astype(np.int64)
         return np.clip(idx, 0, self.n_cells - 1)
 

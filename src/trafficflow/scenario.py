@@ -60,7 +60,9 @@ MAX_PCE_NODES = 100
 
 @dataclass(frozen=True)
 class UQConfig:
-    distribution: str  # "uniform" or "beta"
+    """The uq section; it owns the law Y = 2Z + 1, Z ~ Beta(alpha, beta)."""
+
+    distribution: str  # "uniform" (alpha = beta = 1) or "beta"
     alpha: float = 1.0
     beta: float = 1.0
     n_samples: int = 2000
@@ -70,8 +72,14 @@ class UQConfig:
     def __post_init__(self):
         if self.distribution not in ("uniform", "beta"):
             raise ConfigError(f"unknown distribution {self.distribution!r}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigError("beta parameters must be positive")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if self.distribution == "uniform" and value != 1.0:
+                raise ConfigError(f"uq.distribution.{name} applies to the "
+                                  f"beta law only")
+            if not value > 0:
+                raise ConfigError(f"uq.distribution.{name} = "
+                                  f"{_short_repr(value)} must be positive")
         for name, low, high in (("n_samples", 1, MAX_SAMPLES),
                                 ("pce_nodes", 1, MAX_PCE_NODES),
                                 ("pce_order", 0, MAX_PCE_NODES - 1)):
@@ -79,6 +87,11 @@ class UQConfig:
             if not low <= value <= high:
                 raise ConfigError(f"uq.{name} = {_short_repr(value)} must "
                                   f"lie in [{low}, {high}]")
+
+    @property
+    def is_uniform(self) -> bool:
+        """Y uniform on [1, 3], the law of the Legendre chaos."""
+        return self.alpha == 1.0 and self.beta == 1.0
 
 
 @dataclass(frozen=True)
@@ -178,13 +191,15 @@ def _parse_uq(doc: dict) -> UQConfig:
           ("n_samples", "pce_nodes", "pce_order"))
     dist = doc["distribution"]
     if isinstance(dist, str):
-        name, alpha, beta = dist, 1.0, 1.0
-    else:
-        _take(dist, "uq.distribution", ("name",), ("alpha", "beta"))
-        name = dist["name"]
-        alpha = _number(dist, "alpha", "uq.distribution", 1.0)
-        beta = _number(dist, "beta", "uq.distribution", 1.0)
-    return UQConfig(distribution=name, alpha=alpha, beta=beta,
+        dist = {"name": dist}
+    _take(dist, "uq.distribution", ("name",), ("alpha", "beta"))
+    for key in ("alpha", "beta"):
+        if key in dist and dist["name"] != "beta":
+            raise ConfigError(f"uq.distribution.{key} applies to the beta "
+                              f"law only, not to {dist['name']!r}")
+    return UQConfig(distribution=dist["name"],
+                    alpha=_number(dist, "alpha", "uq.distribution", 1.0),
+                    beta=_number(dist, "beta", "uq.distribution", 1.0),
                     n_samples=_number(doc, "n_samples", "uq", 2000, True),
                     pce_nodes=_number(doc, "pce_nodes", "uq", 9, True),
                     pce_order=_number(doc, "pce_order", "uq", 0, True))

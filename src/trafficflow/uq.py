@@ -1,9 +1,10 @@
 """Uncertainty quantification of random accident sizes.
 
-Covers the accident-size distribution Y = 2Z + 1 with Z ~ Beta(alpha, beta)
-on [0, 1], Monte Carlo statistics (mean / median / 90% band) over model runs,
-and the intrusive stochastic-Galerkin propagation of Legendre-chaos modes for
-the conservative second-order macro model and the microscopic ODE model.
+Covers draws of the accident size Y = 2Z + 1 under the law of a
+scenario.UQConfig, Monte Carlo statistics (mean / median / 90% band) over
+model runs, and the intrusive stochastic-Galerkin propagation of
+Legendre-chaos modes for the conservative second-order macro model and the
+microscopic ODE model.
 """
 
 from __future__ import annotations
@@ -28,45 +29,11 @@ from .core import (
 from . import macro, micro
 from .micro import micro_init_from_density, sample_density
 from .particle import RngStream
-from .scenario import Scenario
+from .scenario import Scenario, UQConfig
 
+# Y in [Y_LOW, Y_HIGH] maps onto the Legendre basis's [-1, 1] as Y - Y_MID
 Y_LOW, Y_HIGH = 1.0, 3.0
-
-
-# ---------------------------------------------------------------------------
-# Accident-size distribution
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AccidentDistribution:
-    """Law of the accident half-width Y = 2Z + 1 with Z ~ Beta(alpha, beta).
-
-    alpha = beta = 1 is the uniform distribution on [1, 3].
-    """
-
-    alpha: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigError("beta parameters must be positive")
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.alpha == 1.0 and self.beta == 1.0
-
-    def sample(self, rng: np.random.Generator):
-        if self.is_uniform:
-            z = rng.random()
-        else:
-            # ratio-of-gammas construction of a Beta variate
-            g1 = rng.gamma(self.alpha)
-            g2 = rng.gamma(self.beta)
-            z = g1 / (g1 + g2)
-        return Y_LOW + (Y_HIGH - Y_LOW) * z
-
-    def mean(self) -> float:
-        return Y_LOW + (Y_HIGH - Y_LOW) * self.alpha / (self.alpha + self.beta)
+Y_MID = (Y_LOW + Y_HIGH) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +62,13 @@ class Quadrature:
 
     @property
     def y_nodes(self) -> np.ndarray:
-        return self.nodes + 2.0
+        return self.nodes + Y_MID
 
 
 def gauss_legendre(n: int) -> Quadrature:
     """Nodes as Newton-refined roots of P_n, weights 2 / ((1-z^2) P_n'(z)^2)."""
     if n < 1:
         raise ConfigError("quadrature order must be at least 1")
-    if n == 1:
-        return Quadrature(nodes=np.zeros(1), weights=np.full(1, 2.0), n=1)
     # Chebyshev-type initial guesses, then Newton iteration
     k = np.arange(n)
     x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
@@ -122,7 +87,7 @@ def gauss_legendre(n: int) -> Quadrature:
 def legendre_basis(K: int, y: np.ndarray) -> np.ndarray:
     """Matrix phi[k, q] = phi_k(y_q) for k = 0..K, the basis polynomials
     orthonormal w.r.t. (1/2) dy on [1, 3]."""
-    x = np.asarray(y, dtype=float) - 2.0
+    x = np.asarray(y, dtype=float) - Y_MID
     out = np.empty((K + 1,) + x.shape)
     p_prev = np.ones_like(x)
     out[0] = p_prev
@@ -315,11 +280,13 @@ def run_pce(scenario: Scenario, model: str, runs, out_times=None,
     run]}. The check sees the node values of every run at once; its error
     names the node (and its run's n)."""
     params, grid, capacity = scenario.params, scenario.grid, scenario.capacity
-    if model not in ("micro", "macro2"):
-        raise ConfigError("the Galerkin runs support the micro and macro2 "
-                          "models")
     if model == "macro2":
         macro.cfl_check(params, capacity, grid)
+    elif model == "micro":
+        micro._check_euler_dt(params.dt, capacity)
+    else:
+        raise ConfigError("the Galerkin runs support the micro and macro2 "
+                          "models")
     batch = GalerkinRuns([gauss_legendre(n) for n, _ in runs],
                          [K for _, K in runs])
 
@@ -395,11 +362,23 @@ def _summarize(grid: Grid1D, rho: np.ndarray, h: np.ndarray,
         h_q95=h_q95)
 
 
-def sample_accident_sizes(dist: AccidentDistribution, n_samples: int,
+def accident_size(cfg: UQConfig, rng: np.random.Generator) -> float:
+    """One draw of Y = 2Z + 1 under cfg's law: Z uniform if cfg.is_uniform,
+    else the Beta(alpha, beta) variate g1 / (g1 + g2) of two gamma draws."""
+    if cfg.is_uniform:
+        z = rng.random()
+    else:
+        g1 = rng.gamma(cfg.alpha)
+        g2 = rng.gamma(cfg.beta)
+        z = g1 / (g1 + g2)
+    return Y_LOW + (Y_HIGH - Y_LOW) * z
+
+
+def sample_accident_sizes(cfg: UQConfig, n_samples: int,
                           seed: int) -> np.ndarray:
     """One independent substream per sample, so results do not depend on how
     the samples are scheduled."""
-    return np.array([dist.sample(RngStream(seed, j).generator())
+    return np.array([accident_size(cfg, RngStream(seed, j).generator())
                      for j in range(n_samples)])
 
 
@@ -488,8 +467,7 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
         raise ConfigError(f"need at least one sample, got {n_samples}")
     if threads < 0:
         raise ConfigError(f"threads must be at least 0, got {threads}")
-    dist = AccidentDistribution(scenario.uq.alpha, scenario.uq.beta)
-    ys = sample_accident_sizes(dist, n_samples, seed)
+    ys = sample_accident_sizes(scenario.uq, n_samples, seed)
     params, grid, capacity = scenario.params, scenario.grid, scenario.capacity
     T = params.T
 

@@ -284,6 +284,24 @@ def test_compare_relaxation_tightens_models(tmp_path):
     assert distances[1.0] < distances[0.0]
 
 
+@pytest.mark.parametrize("models, params, text", [
+    # dt / dx = 2: the particle run would finish before macro2's CFL check
+    ("particle,macro2", dict(GOOD_PARAMS, dt=0.08, T=0.8),
+     "params.dt = 0.08 and domain.dx = 0.04"),
+    # dt > 1 / epsilon: macro2 would write its fields first
+    ("macro2,particle", dict(GOOD_PARAMS, epsilon=50.0), "params.epsilon"),
+], ids=["cfl-after-particle", "particle-dt-after-macro2"])
+def test_compare_checks_every_model_before_the_first_step(tmp_path, capsys,
+                                                          models, params,
+                                                          text):
+    sc = write_scenario(tmp_path, params=params)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(sc), "--models", models,
+                 "--out", str(out)]) == 2
+    assert text in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uq_mc_single_sample_equals_single_run(tmp_path):
     sc = write_scenario(tmp_path, capacity={"variant": "accident"})
     out_mc = tmp_path / "mc"
@@ -313,6 +331,51 @@ def test_uq_pce_rejects_beta_distribution(tmp_path):
                                              "beta": 2}})
     assert main(["uq", "pce", "--scenario", str(sc), "--out",
                  str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("dist, text", [
+    ({"name": "uniform", "alpha": 5}, "uq.distribution.alpha"),
+    ({"name": "uniform", "beta": 1}, "uq.distribution.beta"),
+    ({"name": "beta", "alpha": -1}, "uq.distribution.alpha = -1.0 must be "
+                                    "positive"),
+], ids=["uniform-alpha", "uniform-beta", "negative-alpha"])
+def test_uq_law_parameters_exit_2_and_name_key(tmp_path, capsys, dist,
+                                               text):
+    # a uniform law takes no alpha or beta: Monte Carlo would sample a
+    # beta law while the Galerkin runs expand in Legendre chaos
+    sc = write_scenario(tmp_path, capacity={"variant": "accident"},
+                        uq={"distribution": dist})
+    assert main(["uq", "mc", "--scenario", str(sc),
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert text in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_uq_pce_runs_a_flat_beta_law_as_the_uniform_one(tmp_path):
+    written = []
+    for i, dist in enumerate(["uniform", {"name": "beta", "alpha": 1,
+                                          "beta": 1}]):
+        sc = write_scenario(tmp_path, capacity={"variant": "accident"},
+                            uq={"distribution": dist, "pce_nodes": 3,
+                                "pce_order": 2})
+        out = tmp_path / f"pce{i}"
+        assert main(["uq", "pce", "--scenario", str(sc),
+                     "--out", str(out)]) == 0
+        written.append((out / "pce_expectation_t1.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_uq_pce_micro_checks_the_euler_dt_bound(tmp_path, capsys):
+    # uq mc and simulate reject this dt; the Galerkin micro runs must too
+    sc = write_scenario(tmp_path, capacity={"variant": "accident"},
+                        domain={"xmin": -4.0, "xmax": 4.0, "dx": 0.5},
+                        params={"dt": 2.0, "T": 4.0, "N": 20, "L": 1e-3})
+    out = tmp_path / "pce"
+    assert main(["uq", "pce", "--scenario", str(sc), "--model", "micro",
+                 "--out", str(out)]) == 2
+    assert "Euler stability bound" in capsys.readouterr().err
+    assert not list(out.glob("pce_expectation_*.csv"))
 
 
 def test_uq_convergence_writes_decreasing_columns(tmp_path):

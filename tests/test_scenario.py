@@ -168,6 +168,16 @@ def test_uq_config_validation():
     assert cfg.alpha == 5.0
 
 
+def test_uq_config_owns_the_law():
+    # alpha = beta = 1 is the uniform law, whatever its name
+    assert UQConfig("uniform").is_uniform and UQConfig("beta").is_uniform
+    assert not UQConfig("beta", alpha=5.0, beta=2.0).is_uniform
+    with pytest.raises(ConfigError, match="uq.distribution.alpha"):
+        UQConfig("uniform", alpha=5.0)
+    with pytest.raises(ConfigError, match="uq.distribution.beta = 0.0"):
+        UQConfig("beta", beta=0.0)
+
+
 def test_builtin_scenarios():
     sc = paper_comparison_scenario()
     assert isinstance(sc.capacity, PiecewiseRampCapacity)

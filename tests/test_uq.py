@@ -30,7 +30,7 @@ from trafficflow.scenario import (
     paper_comparison_scenario,
 )
 from trafficflow.uq import (
-    AccidentDistribution,
+    accident_size,
     gauss_legendre,
     legendre_basis,
     map_chunks,
@@ -69,8 +69,8 @@ def with_uq(sc: Scenario, cfg=None) -> Scenario:
 
 def test_uniform_accident_sizes_have_mean_two():
     rng = np.random.default_rng(0)
-    dist = AccidentDistribution(1.0, 1.0)
-    ys = np.array([dist.sample(rng) for _ in range(100_000)])
+    cfg = UQConfig("uniform")
+    ys = np.array([accident_size(cfg, rng) for _ in range(100_000)])
     assert np.all((ys >= 1.0) & (ys <= 3.0))
     # exact mean 2, variance 1/3: 3-sigma band for the empirical mean
     assert abs(ys.mean() - 2.0) < 3 * np.sqrt(1 / 3 / len(ys))
@@ -78,8 +78,8 @@ def test_uniform_accident_sizes_have_mean_two():
 
 def test_beta_accident_sizes_have_scaled_beta_mean():
     rng = np.random.default_rng(1)
-    dist = AccidentDistribution(5.0, 2.0)
-    ys = np.array([dist.sample(rng) for _ in range(100_000)])
+    cfg = UQConfig("beta", alpha=5.0, beta=2.0)
+    ys = np.array([accident_size(cfg, rng) for _ in range(100_000)])
     assert np.all((ys >= 1.0) & (ys <= 3.0))
     mean = 1 + 2 * (5 / 7)
     var = 4 * (5 * 2) / ((5 + 2) ** 2 * (5 + 2 + 1))
@@ -88,8 +88,8 @@ def test_beta_accident_sizes_have_scaled_beta_mean():
 
 def test_flat_beta_matches_uniform_in_distribution():
     rng = np.random.default_rng(2)
-    dist = AccidentDistribution(1.0, 1.0)
-    ys = np.sort([dist.sample(rng) for _ in range(100_000)])
+    cfg = UQConfig("beta", alpha=1.0, beta=1.0)
+    ys = np.sort([accident_size(cfg, rng) for _ in range(100_000)])
     # Kolmogorov-Smirnov distance against the exact uniform CDF on [1, 3]
     cdf = (ys - 1.0) / 2.0
     emp = np.arange(1, len(ys) + 1) / len(ys)
@@ -99,10 +99,10 @@ def test_flat_beta_matches_uniform_in_distribution():
 
 
 def test_sample_accident_sizes_deterministic_per_seed():
-    dist = AccidentDistribution(1.0, 1.0)
-    a = sample_accident_sizes(dist, 50, seed=9)
-    b = sample_accident_sizes(dist, 50, seed=9)
-    c = sample_accident_sizes(dist, 50, seed=10)
+    cfg = UQConfig("uniform")
+    a = sample_accident_sizes(cfg, 50, seed=9)
+    b = sample_accident_sizes(cfg, 50, seed=9)
+    c = sample_accident_sizes(cfg, 50, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -334,7 +334,7 @@ def test_monte_carlo_quantile_ordering_and_determinism():
 def test_monte_carlo_micro_matches_single_run():
     sc = accident_scenario(dx=2e-2, dt=2e-2, N=200, T=1.0)
     stats = monte_carlo(sc, "micro", 1, seed=4)
-    y = sample_accident_sizes(AccidentDistribution(1.0, 1.0), 1, seed=4)[0]
+    y = sample_accident_sizes(UQConfig("uniform"), 1, seed=4)[0]
     state = micro.micro_init_from_density(sc.rho0, 200, sc.params.L, sc.grid)
     det = micro.run_micro(state, sc.capacity, sc.params, sc.grid, y=y,
                           out_times=(1.0,))[1.0]
@@ -343,8 +343,7 @@ def test_monte_carlo_micro_matches_single_run():
 
 def per_sample_summary(sc, n_samples, seed):
     """Independent one-sample macro2 runs, stacked and summarized."""
-    ys = sample_accident_sizes(AccidentDistribution(1.0, 1.0), n_samples,
-                               seed)
+    ys = sample_accident_sizes(UQConfig("uniform"), n_samples, seed)
     T = sc.params.T
     finals = [macro.run_second_order(sc.rho0_field(), sc.h0_field(),
                                      sc.capacity, sc.params, sc.grid, y=y,

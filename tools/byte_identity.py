@@ -10,18 +10,23 @@ outside both checkouts): work/scenarios/ holds the scenario files, and
 work/<side>/<name>/ the outputs of each command. The list covers the
 benchmark's commands (taken from perfbench/workloads.py of --change),
 `uq mc` and `uq convergence` for macro2 and micro at --threads 1 and 7,
-`uq pce` for both at (nodes, order) = (1, 0), (3, 1), (5, 4), (9, 8) and
-(9, 0) and a = 0 and 1 ((9, 0) is the scenario default, and the one run
-whose expectation takes the mode-0 point value where a quadrature
-average would differ in the last bits), `simulate` for all four models,
+`uq mc` for both under a Beta(5, 2) law, `uq pce` for both at (nodes,
+order) = (1, 0), (3, 1), (5, 4), (9, 8) and (9, 0) and a = 0 and 1 ((9, 0)
+is the scenario default, and the one run whose expectation takes the
+mode-0 point value where a quadrature average would differ in the last
+bits) and under a Beta(1, 1) law, `simulate` for all four models,
 `compare` on the accident, ramp and constant capacities at a = 0 and 1,
 one run per model that exits 3 (and a Galerkin step, a convergence
-study and a macro2 snapshot with a negative headway that do), the
-particle dt bound (exit 2), and `analyze eigen`, `analyze curves` for
-families 1 to 3 and `analyze rh`, which take no scenario. In stderr the output root and the checkout of each side are
-replaced by <root> and <checkout>, so that the two sides can be
-compared. Prints one line per command; exits 1 if a command differs in
-exit code or files, or in stderr while it exits 0 on both sides.
+study and a macro2 snapshot with a negative headway that do), runs that
+exit 2 (the particle dt bound, in `simulate` and after macro2 in
+`compare`; the CFL bound after the particle model in `compare`; the
+Euler bound in `uq pce --model micro`; a uniform law given an alpha),
+and `analyze eigen`, `analyze curves` for families 1 to 3 and `analyze
+rh`, which take no scenario. In stderr the output root and the checkout
+of each side are replaced by <root> and <checkout>, so that the two
+sides can be compared. Prints one line per command; exits 1 if a command
+differs in exit code or files, or in stderr while it exits 0 on both
+sides.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ INITIAL = {
     "rho": [{"x_lt": 0.0, "value": 0.15}, {"x_lt": 4.0, "value": 0.1}],
     "h": [{"x_lt": 0.0, "value": 0.8}, {"x_lt": 4.0, "value": 0.95}],
 }
+BETA52 = {"distribution": {"name": "beta", "alpha": 5, "beta": 2}}
+BETA11 = {"distribution": {"name": "beta", "alpha": 1, "beta": 1}}
 CAPACITIES = {
     "accident": {"variant": "accident", "drop": 0.4},
     "ramp": {"variant": "piecewise_ramp", "c_low": 0.6, "x_left": -2.0,
@@ -93,6 +100,14 @@ def commands(change: Path) -> list:
                              _variant(ACCIDENT, params={"a": a}),
                              ["uq", "pce", "--model", model, "--nodes",
                               str(nodes), "--order", str(order)]))
+        # the gamma-ratio draws of a beta law, and a flat beta law, which
+        # is the uniform one and runs the Galerkin path
+        runs.append((f"uq_mc_{model}_beta52", _variant(ACCIDENT, uq=BETA52),
+                     ["uq", "mc", "--model", model, "--samples",
+                      str(MC_SAMPLES), "--seed", "2"]))
+        runs.append((f"uq_pce_{model}_beta11", _variant(ACCIDENT, uq=BETA11),
+                     ["uq", "pce", "--model", model, "--nodes", "3",
+                      "--order", "2"]))
     for model in ("macro1", "macro2", "micro", "particle"):
         runs.append((f"simulate_{model}", SIMULATE,
                      ["simulate", "--model", model, "--seed", "3"]))
@@ -162,6 +177,16 @@ def commands(change: Path) -> list:
         ("exit2_compare_particle_dt",
          _variant(SIMULATE, params={"epsilon": 1000.0}),
          ["compare", "--models", "macro2,particle"]),
+        ("exit2_compare_cfl", _variant(SIMULATE, params={"dt": 0.04}),
+         ["compare", "--models", "particle,macro2"]),
+        ("exit2_pce_micro_euler_dt",
+         _variant(ACCIDENT, domain={"dx": 0.5},
+                  params={"dt": 2.0, "T": 4.0, "N": 20, "L": 1e-3}),
+         ["uq", "pce", "--model", "micro"]),
+        ("exit2_uq_uniform_alpha",
+         _variant(ACCIDENT, uq={"distribution": {"name": "uniform",
+                                                 "alpha": 5}}),
+         ["uq", "mc", "--model", "macro2", "--samples", "16"]),
     ]
     state = ["--rho", "0.15", "--h", "0.8", "--c", "0.6"]
     runs.append(("analyze_eigen", None, ["analyze", "eigen", *state]))
