@@ -50,43 +50,46 @@ MICRO_SPEED_LAWS = {
 }
 
 
+# each model's entry check; its runner calls the same function first, so
+# run_model can check a model before any model of a command steps
+ENTRY_CHECKS = {"macro1": macro.cfl_check, "macro2": macro.cfl_check,
+                "micro": micro.euler_dt_check, "particle": particle.dt_check}
+
+
 def run_model(scenario: Scenario, model: str, seed: int = 0, y=None,
-              out_times=None, micro_speed: str = "linear", emit=None,
-              defer: bool = False):
-    """Run one model on the scenario grid; returns {time: MacroField}, or
-    hands each snapshot to emit as it is observed (see core.integrate).
-    With defer, only check the model and build its initial state, and
-    return run(), which runs the model from that state."""
+              out_times=None, micro_speed: str = "linear", emit=None):
+    """Check one model on the scenario grid and build its initial state;
+    returns run(), which runs the model from that state and returns
+    {time: MacroField}, or hands each snapshot to emit as it is observed
+    (see core.integrate)."""
     params, grid, capacity = scenario.params, scenario.grid, scenario.capacity
     if isinstance(capacity, AccidentCapacity) and y is None:
         raise ConfigError("accident capacity requires --accident-size (or a "
                           "uq command) to fix the half-width Y")
     if micro_speed not in MICRO_SPEED_LAWS:
         raise ConfigError(f"unknown micro speed law {micro_speed!r}")
+    if model not in ENTRY_CHECKS:
+        raise ConfigError(f"unknown model {model!r}")
     options = dict(y=y, out_times=out_times, emit=emit)
-    if model in ("macro1", "macro2"):
-        macro.cfl_check(params, capacity, grid)
+    if model == "macro1":
         state, runner = [scenario.rho0_field()], macro.run_first_order
-        if model == "macro2":
-            state.append(scenario.h0_field())
-            runner = macro.run_second_order
+    elif model == "macro2":
+        state = [scenario.rho0_field(), scenario.h0_field()]
+        runner = macro.run_second_order
     elif model == "micro":
         state = [micro.micro_init_from_density(scenario.rho0, params.N,
                                                params.L, grid)]
-        micro._check_euler_dt(params.dt, capacity)
         runner = micro.run_micro
         options["speed_law"] = MICRO_SPEED_LAWS[micro_speed]
-    elif model == "particle":
+    else:
         state = [particle.particle_init(scenario.rho0, scenario.h0,
                                         params.N, grid)]
-        particle._check_dt(params)
         runner, options["seed"] = particle.run_particle, seed
-    else:
-        raise ConfigError(f"unknown model {model!r}")
+    ENTRY_CHECKS[model](params, capacity, grid)
 
     def run():
         return runner(*state, capacity, params, grid, **options)
-    return run if defer else run()
+    return run
 
 
 def _parse_times(arg, params: ModelParams):
@@ -180,7 +183,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     emit, kept = _fields_writer(out_dir, output.fields_filename)
     run_model(scenario, model, seed=args.seed, y=args.accident_size,
-              out_times=times, micro_speed=args.micro_speed, emit=emit)
+              out_times=times, micro_speed=args.micro_speed, emit=emit)()
     meta = {
         "model": model,
         "scheme": "lax-friedrichs" if model.startswith("macro") else "euler",
@@ -207,8 +210,7 @@ def cmd_compare(args) -> int:
                                     lambda t, m=m: f"fields_{m}_t{t:g}.csv")
         runs.append((m, kept, run_model(
             scenario, m, seed=args.seed, y=args.accident_size,
-            out_times=(0.0, T), micro_speed=args.micro_speed, emit=emit,
-            defer=True)))
+            out_times=(0.0, T), micro_speed=args.micro_speed, emit=emit)))
     finals = {}
     for m, kept, run in runs:
         run()

@@ -85,15 +85,16 @@ def micro_init_from_density(rho0, N: int, L: float,
     return edges[seg] + offset
 
 
-def _check_euler_dt(dt: float, capacity: CapacitySpec) -> None:
+def euler_dt_check(params: ModelParams, capacity: CapacitySpec,
+                   grid: Grid1D) -> None:
     """The Euler step's stability bound dt <= 1 / (||c|| ||Vtilde||), with
     ||Vtilde|| = 1. It does not keep the vehicle order: behind a stopped
     leader a gap g becomes g - dt (1 - L/g), which is negative for g = 2L
     whenever dt > 4L. The run's per-step ordering check reports that case
     as a numerical failure (exit 3 in the CLI)."""
-    if dt > 1.0 / capacity_max(capacity) + 1e-12:
+    if params.dt > 1.0 / capacity_max(capacity) + 1e-12:
         raise ConfigError(
-            f"dt = {dt} exceeds the Euler stability bound 1 / (||c|| "
+            f"dt = {params.dt} exceeds the Euler stability bound 1 / (||c|| "
             f"||Vtilde||); within it the vehicle order can still be lost, "
             f"which the check of each step reports")
 
@@ -178,7 +179,7 @@ def run_micro(positions: np.ndarray, capacity: CapacitySpec,
     hands each to emit, see core.integrate). A y array runs one row of
     positions per value (fields of shape (len(y), n_cells)). dt is checked
     once here, and the vehicle order at entry and after every step."""
-    _check_euler_dt(params.dt, capacity)
+    euler_dt_check(params, capacity, grid)
     shape = np.shape(y) + np.shape(positions)
     if y is not None:
         y = np.asarray(y, dtype=float)[..., None]

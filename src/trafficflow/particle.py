@@ -138,7 +138,8 @@ def _select_partners(x_wrapped: np.ndarray, targets: np.ndarray,
     return order[pick % n]
 
 
-def _check_dt(params: ModelParams) -> None:
+def dt_check(params: ModelParams, capacity: CapacitySpec,
+             grid: Grid1D) -> None:
     """dt and epsilon * dt are probabilities (interaction, relaxation)."""
     if params.dt > min(1.0, 1.0 / params.epsilon) + 1e-12:
         raise ConfigError(f"params.dt = {params.dt!r} must satisfy dt <= "
@@ -192,7 +193,7 @@ def run_particle(ens: ParticleEnsemble, capacity: CapacitySpec,
     """Step the ensemble to params.T, binning at the requested output times;
     returns {time: MacroField} (or hands each to emit, see
     core.integrate)."""
-    _check_dt(params)
+    dt_check(params, capacity, grid)
     return integrate(
         ens,
         lambda e, j: particle_step(e, params, capacity, grid,

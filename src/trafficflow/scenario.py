@@ -75,8 +75,10 @@ class UQConfig:
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if self.distribution == "uniform" and value != 1.0:
-                raise ConfigError(f"uq.distribution.{name} applies to the "
-                                  f"beta law only")
+                raise ConfigError(f"uq.distribution.{name} = "
+                                  f"{_short_repr(value)}: the uniform law "
+                                  f"has alpha = beta = 1 (name the law "
+                                  f"\"beta\" for others)")
             if not value > 0:
                 raise ConfigError(f"uq.distribution.{name} = "
                                   f"{_short_repr(value)} must be positive")
@@ -193,10 +195,6 @@ def _parse_uq(doc: dict) -> UQConfig:
     if isinstance(dist, str):
         dist = {"name": dist}
     _take(dist, "uq.distribution", ("name",), ("alpha", "beta"))
-    for key in ("alpha", "beta"):
-        if key in dist and dist["name"] != "beta":
-            raise ConfigError(f"uq.distribution.{key} applies to the beta "
-                              f"law only, not to {dist['name']!r}")
     return UQConfig(distribution=dist["name"],
                     alpha=_number(dist, "alpha", "uq.distribution", 1.0),
                     beta=_number(dist, "beta", "uq.distribution", 1.0),

@@ -283,7 +283,7 @@ def run_pce(scenario: Scenario, model: str, runs, out_times=None,
     if model == "macro2":
         macro.cfl_check(params, capacity, grid)
     elif model == "micro":
-        micro._check_euler_dt(params.dt, capacity)
+        micro.euler_dt_check(params, capacity, grid)
     else:
         raise ConfigError("the Galerkin runs support the micro and macro2 "
                           "models")

@@ -13,12 +13,12 @@ import pytest
 
 import trafficflow
 from trafficflow import output
-from trafficflow.cli import main, run_model
-from trafficflow.core import Grid1D
+from trafficflow.cli import ENTRY_CHECKS, main, run_model
+from trafficflow.core import ConfigError, Grid1D
 from trafficflow.macro import total_mass
 from trafficflow.output import (fields_filename, read_fields_csv,
                                 write_fields_csv, write_metadata)
-from trafficflow.scenario import load_scenario
+from trafficflow.scenario import KNOWN_MODELS, load_scenario
 
 
 def write_scenario(tmp_path, **overrides):
@@ -302,6 +302,26 @@ def test_compare_checks_every_model_before_the_first_step(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", sorted(KNOWN_MODELS))
+def test_run_model_checks_what_the_runner_checks(tmp_path, monkeypatch,
+                                                 model):
+    # run_model's entry check is the function the model's runner calls
+    # first, so compare checks up front whatever a runner checks
+    assert set(ENTRY_CHECKS) == set(KNOWN_MODELS)
+    check, calls = ENTRY_CHECKS[model], []
+
+    def spy(*args):
+        calls.append(args)
+        raise ConfigError("spied")
+
+    scenario = load_scenario(write_scenario(tmp_path))
+    run = run_model(scenario, model)
+    monkeypatch.setattr(sys.modules[check.__module__], check.__name__, spy)
+    with pytest.raises(ConfigError, match="spied"):
+        run()
+    assert calls == [(scenario.params, scenario.capacity, scenario.grid)]
+
+
 def test_uq_mc_single_sample_equals_single_run(tmp_path):
     sc = write_scenario(tmp_path, capacity={"variant": "accident"})
     out_mc = tmp_path / "mc"
@@ -335,14 +355,15 @@ def test_uq_pce_rejects_beta_distribution(tmp_path):
 
 @pytest.mark.parametrize("dist, text", [
     ({"name": "uniform", "alpha": 5}, "uq.distribution.alpha"),
-    ({"name": "uniform", "beta": 1}, "uq.distribution.beta"),
+    ({"name": "uniform", "beta": 2}, "uq.distribution.beta"),
     ({"name": "beta", "alpha": -1}, "uq.distribution.alpha = -1.0 must be "
                                     "positive"),
-], ids=["uniform-alpha", "uniform-beta", "negative-alpha"])
+    ({"name": "gamma", "alpha": 2}, "unknown distribution 'gamma'"),
+], ids=["uniform-alpha", "uniform-beta", "negative-alpha", "unknown-law"])
 def test_uq_law_parameters_exit_2_and_name_key(tmp_path, capsys, dist,
                                                text):
-    # a uniform law takes no alpha or beta: Monte Carlo would sample a
-    # beta law while the Galerkin runs expand in Legendre chaos
+    # a uniform law takes no alpha or beta other than 1: Monte Carlo would
+    # sample a beta law while the Galerkin runs expand in Legendre chaos
     sc = write_scenario(tmp_path, capacity={"variant": "accident"},
                         uq={"distribution": dist})
     assert main(["uq", "mc", "--scenario", str(sc),
@@ -654,7 +675,7 @@ def test_streamed_simulate_writes_what_the_runner_returns(tmp_path, model):
     assert main(["simulate", "--scenario", str(sc), "--model", model,
                  "--seed", "4", "--out", str(out)]) == 0
     scenario = load_scenario(sc)
-    fields = run_model(scenario, model, seed=4)
+    fields = run_model(scenario, model, seed=4)()
     expected = tmp_path / "expected"
     expected.mkdir()
     for t, field in fields.items():
@@ -680,7 +701,7 @@ def test_streamed_compare_writes_what_the_runners_return(tmp_path):
     expected = tmp_path / "expected"
     expected.mkdir()
     for m in models:
-        fields = run_model(scenario, m, seed=4, out_times=(0.0, 1.0))
+        fields = run_model(scenario, m, seed=4, out_times=(0.0, 1.0))()
         for t, field in fields.items():
             write_fields_csv(expected / f"fields_{m}_t{t:g}.csv", field)
     want, got = byte_contents(expected), byte_contents(out)
