@@ -211,10 +211,9 @@ def cmd_compare(args) -> int:
         runs.append((m, kept, run_model(
             scenario, m, seed=args.seed, y=args.accident_size,
             out_times=(0.0, T), micro_speed=args.micro_speed, emit=emit)))
-    finals = {}
-    for m, kept, run in runs:
+    for _, _, run in runs:
         run()
-        finals[m] = kept["last"]
+    finals = {m: kept["last"] for m, kept, _ in runs}
 
     lines = ["model_a,model_b,l1_rho,l1_rho_rel"]
     for i, a in enumerate(models):

@@ -75,10 +75,8 @@ class UQConfig:
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if self.distribution == "uniform" and value != 1.0:
-                raise ConfigError(f"uq.distribution.{name} = "
-                                  f"{_short_repr(value)}: the uniform law "
-                                  f"has alpha = beta = 1 (name the law "
-                                  f"\"beta\" for others)")
+                raise ConfigError(f"uq.distribution.{name} must be 1 under "
+                                  f"the uniform law (alpha = beta = 1)")
             if not value > 0:
                 raise ConfigError(f"uq.distribution.{name} = "
                                   f"{_short_repr(value)} must be positive")
