@@ -255,7 +255,13 @@ def cmd_uq(args) -> int:
         raise ConfigError("the Galerkin expansion supports the uniform law "
                           "(alpha = beta = 1) only")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def out(name):
+        # made by the first write, as in _fields_writer, so a run that
+        # fails before it leaves no directory
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return out_dir / name
+
     meta = {
         "mode": args.uq_mode,
         "model": model,
@@ -270,30 +276,30 @@ def cmd_uq(args) -> int:
     if args.uq_mode == "mc":
         stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed,
                                speed_law=speed_law, threads=threads)
-        output.write_stats_csv(out_dir / "mc_summary.csv", stats)
+        output.write_stats_csv(out("mc_summary.csv"), stats)
         meta.update(n_samples=n_samples, mc_rows_solved=stats.rows_solved)
     elif args.uq_mode == "pce":
         fields = uq.run_pce(scenario, model, [(n_nodes, order)],
                             out_times=(scenario.params.T,),
                             speed_law=speed_law)
         for t, (field,) in sorted(fields.items()):
-            output.write_fields_csv(
-                out_dir / f"pce_expectation_t{t:g}.csv", field)
+            output.write_fields_csv(out(f"pce_expectation_t{t:g}.csv"),
+                                    field)
         meta.update(n_nodes=n_nodes, order=order)
     elif args.uq_mode == "convergence":
         stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed,
                                speed_law=speed_law, threads=threads)
         # written first, so that a Galerkin study that fails keeps it
-        output.write_stats_csv(out_dir / "mc_summary.csv", stats)
+        output.write_stats_csv(out("mc_summary.csv"), stats)
         result = uq.pce_convergence_study(scenario, model, stats,
                                           speed_law=speed_law)
-        output.write_convergence_csv(out_dir / "convergence.csv", result)
+        output.write_convergence_csv(out("convergence.csv"), result)
         meta.update(n_samples=n_samples, mc_rows_solved=stats.rows_solved,
                     rate_rho=result.rate_rho, rate_h=result.rate_h)
     else:
         raise ConfigError(f"unknown uq mode {args.uq_mode!r}")
 
-    output.write_metadata(out_dir / "metadata.json", meta)
+    output.write_metadata(out("metadata.json"), meta)
     return EXIT_OK
 
 

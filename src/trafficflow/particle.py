@@ -8,9 +8,17 @@ probability eps*dt its headway relaxes towards H(rho_local).
 All randomness flows through one generator per step derived from
 (master seed, step index), and updates are vectorized against the pre-step
 snapshot, so trajectories are reproducible regardless of worker count.
-Every step takes the same draws in the same order, whatever the branches
-do; the relaxation uniforms, unread when a = 0, are skipped by advancing
-the stream past them rather than drawn.
+A step draws only what it reads, in a fixed order: the interacting set
+(a Binomial(n, dt) count, then a uniform subset of that size), one
+partner uniform per interacting particle, and last, only when a > 0, the
+relaxing set drawn the same way with probability eps*dt. The particles
+are exchangeable, so each one is in a set independently with the set's
+probability, as with one Bernoulli draw per particle.
+
+Each step first puts the ensemble in road order (a stable sort of the
+wrapped positions) and returns it in that order, so particle i of a step's
+result, and of an exit-3 message about it, is the i-th particle from x_min
+at the start of that step.
 """
 
 from __future__ import annotations
@@ -95,29 +103,27 @@ def bin_to_fields(ens: ParticleEnsemble, grid: Grid1D) -> MacroField:
     return MacroField(rho=rho, h=h, grid=grid)
 
 
-def _select_partners(x_wrapped: np.ndarray, targets: np.ndarray,
+def _select_partners(xs: np.ndarray, targets: np.ndarray,
                      half_window: float, length: float, x_min: float,
                      u: np.ndarray) -> np.ndarray:
-    """Partner indices for the given target positions.
+    """Partner indices into the sorted wrapped positions xs for the given
+    target positions.
 
     A partner is drawn uniformly among particles within half_window of the
     target (periodic); if that window is empty, the nearest particle ahead of
     the target is used.
 
-    The windows are searched on the sorted positions followed by a second
-    lap, the positions plus length. Only the start of that lap can be
-    reached, so each index is the sum of the searches on the first lap and
-    on the prefix of the second that ends with its first element beyond
-    every query.
+    The windows are searched on xs followed by a second lap, the positions
+    plus length. Only the start of that lap can be reached, so each index
+    is the sum of the searches on the first lap and on the prefix of the
+    second that ends with its first element beyond every query.
     """
-    order = np.argsort(x_wrapped, kind="stable")
-    xs = x_wrapped[order]
     n = len(xs)
     # shift targets so the search window never crosses x_min
     t = _periodic_wrap(targets, x_min, length)
     t = np.where(t - half_window < x_min, t + length, t)
     lo_q, hi_q = t - half_window, t + half_window
-    reach = hi_q.max()
+    reach = hi_q.max(initial=-np.inf)  # no targets: no search
     k = min(n, int(np.searchsorted(xs, reach - length, side="right")) + 1)
     # xs + length can round down to reach for positions above reach - length
     while k < n and xs[k - 1] + length <= reach:
@@ -135,7 +141,7 @@ def _select_partners(x_wrapped: np.ndarray, targets: np.ndarray,
     # empty window: fall back to the nearest particle ahead
     ahead = search(t, "right")
     pick = np.where(count > 0, pick, ahead)
-    return order[pick % n]
+    return pick % n
 
 
 def dt_check(params: ModelParams, capacity: CapacitySpec,
@@ -147,44 +153,54 @@ def dt_check(params: ModelParams, capacity: CapacitySpec,
                           f"{params.epsilon!r}")
 
 
+def _draw_subset(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """Sorted indices of the items, out of n, that take an event of
+    probability p: a Binomial(n, p) count, then a uniform subset of that
+    size (its order is not needed, so it is not shuffled)."""
+    k = rng.binomial(n, min(p, 1.0))
+    return np.sort(rng.choice(n, k, replace=False, shuffle=False))
+
+
+def _road_order(ens: ParticleEnsemble, grid: Grid1D):
+    """Copies of x and s sorted by wrapped position (stable). The previous
+    step's result is almost in order (only overtakes and the wrap at x_max
+    move particles), so this sort stays cheap over a run."""
+    order = np.argsort(grid.wrap(ens.x), kind="stable")
+    return ens.x[order], ens.s[order]
+
+
 def particle_step(ens: ParticleEnsemble, params: ModelParams,
                   capacity: CapacitySpec, grid: Grid1D,
                   rng: np.random.Generator, y=None) -> ParticleEnsemble:
+    """One step; returns the ensemble in the road order of its start.
+
+    Both headway increments read the pre-step state and are added into the
+    sorted copy of s, so the new positions are the step's one new
+    ensemble array and its last allocation: with a new s allocated next to
+    them, glibc trimmed and refilled the heap top every other step."""
     dt = params.dt
-    x, s = ens.x, ens.s
+    x, s = _road_order(ens, grid)
     xw = grid.wrap(x)
     c_self = capacity_eval(capacity, xw, y)
     v_self = c_self * speed_V(s)
 
-    # fixed draw layout per step keeps the stream independent of branch outcomes
-    theta = rng.random(ens.n) < dt
-    if params.a > 0 or not isinstance(rng.bit_generator, np.random.PCG64):
-        xi_u = rng.random(ens.n)
-    else:
-        # the relaxation uniforms are never read; PCG64 spends one output
-        # per float, so advancing by n leaves every later draw unchanged
-        rng.bit_generator.advance(ens.n)
-    partner_u = rng.random(ens.n)
-
-    ds = np.zeros(ens.n)
-    if theta.any():
-        idx = np.flatnonzero(theta)
-        partners = _select_partners(xw, xw[idx] + params.eta,
-                                    grid.dx / 2, grid.length, grid.x_min,
-                                    partner_u[idx])
-        v_star = c_self[partners] * speed_V(s[partners])
-        ds[idx] = params.gamma * (v_star - v_self[idx])
+    idx = _draw_subset(rng, ens.n, dt)
+    partners = _select_partners(xw, xw[idx] + params.eta, grid.dx / 2,
+                                grid.length, grid.x_min,
+                                rng.random(idx.size))
+    v_star = c_self[partners] * speed_V(s[partners])
+    interaction = params.gamma * (v_star - v_self[idx])
 
     if params.a > 0:
-        xi = xi_u < params.epsilon * dt
-        if xi.any():
-            field = bin_to_fields(ens, grid)
-            rho_local = field.rho[grid.cell_index(x)]
-            ds = ds + np.where(xi, params.a * (headway_H(rho_local) - s), 0.0)
+        relax = _draw_subset(rng, ens.n, params.epsilon * dt)
+        if relax.size:
+            rho = bin_to_fields(ens, grid).rho
+            rho_local = rho[grid.cell_index(x[relax])]
+            s[relax] += params.a * (headway_H(rho_local) - s[relax])
+    s[idx] += interaction
 
-    new_s = s + ds
     new_x = grid.wrap(x + v_self * dt)
-    return replace(ens, x=new_x, s=new_s)
+    return replace(ens, x=new_x, s=s)
 
 
 def run_particle(ens: ParticleEnsemble, capacity: CapacitySpec,

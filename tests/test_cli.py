@@ -399,6 +399,24 @@ def test_uq_pce_micro_checks_the_euler_dt_bound(tmp_path, capsys):
     assert not list(out.glob("pce_expectation_*.csv"))
 
 
+@pytest.mark.parametrize("mode, model, text", [
+    ("pce", "micro", "Euler stability bound"),
+    ("mc", "macro2", "CFL"),
+], ids=["pce-micro-euler", "mc-macro2-cfl"])
+def test_uq_model_check_exits_2_and_leaves_no_directory(tmp_path, capsys,
+                                                        mode, model, text):
+    # dt = 2 is past the micro Euler bound and, at dx = 0.5, the CFL bound
+    sc = write_scenario(tmp_path, capacity={"variant": "accident"},
+                        domain={"xmin": -4.0, "xmax": 4.0, "dx": 0.5},
+                        params={"dt": 2.0, "T": 4.0, "N": 20, "L": 1e-3})
+    out = tmp_path / "uq"
+    assert main(["uq", mode, "--scenario", str(sc), "--model", model,
+                 "--samples" if mode == "mc" else "--nodes", "2",
+                 "--out", str(out)]) == 2
+    assert text in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uq_convergence_writes_decreasing_columns(tmp_path):
     sc = write_scenario(tmp_path, capacity={"variant": "accident"},
                         domain={"xmin": -4.0, "xmax": 4.0, "dx": 0.02},

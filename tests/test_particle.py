@@ -17,6 +17,7 @@ from trafficflow.core import (
 from trafficflow.particle import (
     ParticleEnsemble,
     RngStream,
+    _draw_subset,
     _select_partners,
     bin_to_fields,
     particle_init,
@@ -157,11 +158,9 @@ def test_run_particle_rejects_large_dt():
 # Partner search and draw layout
 # ---------------------------------------------------------------------------
 
-def _select_partners_concat(x_wrapped, targets, half_window, length, x_min,
-                            u):
-    """Reference partner search on the full 2N concatenation of two laps."""
-    order = np.argsort(x_wrapped, kind="stable")
-    xs = x_wrapped[order]
+def _select_partners_concat(xs, targets, half_window, length, x_min, u):
+    """Reference partner search on the full 2N concatenation of two laps
+    of the sorted positions xs."""
     t = _periodic_wrap(targets, x_min, length)
     t = np.where(t - half_window < x_min, t + length, t)
     xs2 = np.concatenate([xs, xs + length])
@@ -171,7 +170,7 @@ def _select_partners_concat(x_wrapped, targets, half_window, length, x_min,
     pick = lo + np.floor(u * np.maximum(count, 1)).astype(np.int64)
     ahead = np.searchsorted(xs2, t, side="right")
     pick = np.where(count > 0, pick, ahead)
-    return order[pick % len(xs)]
+    return pick % len(xs)
 
 
 ROADS = [(-4.0, 4.0), (0.0, 1.0), (0.1, 0.7), (-1e3, 2.5)]
@@ -188,10 +187,10 @@ def partner_cases(draw):
     pool = st.one_of(st.sampled_from(edges), offsets.map(lambda r: x_min + r))
     if draw(st.booleans()):  # many equal positions
         pool = st.sampled_from(draw(st.lists(pool, min_size=1, max_size=3)))
-    x = _periodic_wrap(np.array(draw(st.lists(pool, min_size=n,
-                                              max_size=n))), x_min, length)
-    if draw(st.booleans()):
-        x = np.sort(x)
+    # the step searches the wrapped positions in road order
+    x = np.sort(_periodic_wrap(np.array(draw(st.lists(pool, min_size=n,
+                                                      max_size=n))),
+                               x_min, length))
     # windows from empty (sparse roads) to wider than the road
     half_window = draw(st.one_of(
         st.sampled_from([1e-9 * length, 0.01 * length, 0.5 * length]),
@@ -231,25 +230,14 @@ def test_one_lap_partner_search_with_many_equal_positions_at_the_lap_end(
     assert v > reach - length
     for _ in range(abs(shift)):
         v = np.nextafter(v, np.inf if shift > 0 else -np.inf)
-    x = np.concatenate([np.full(300, x_min), np.full(400, v),
-                        np.linspace(x_min, x_min + length, 50,
-                                    endpoint=False)])
+    x = np.sort(np.concatenate([np.full(300, x_min), np.full(400, v),
+                                np.linspace(x_min, x_min + length, 50,
+                                            endpoint=False)]))
     targets = np.array([t, t, t - half_window, x_min + 1.0])
     u = np.array([0.0, 0.999, 0.5, 0.25])
     args = (x, targets, half_window, length, x_min, u)
     assert np.array_equal(_select_partners(*args),
                           _select_partners_concat(*args))
-
-
-@pytest.mark.parametrize("n", [0, 1, 7, 1000])
-def test_advancing_pcg64_skips_exactly_the_floats_of_random(n):
-    drawn, skipped = RngStream(3, 5).generator(), RngStream(3, 5).generator()
-    drawn.random(4)
-    skipped.random(4)
-    drawn.random(n)
-    skipped.bit_generator.advance(n)
-    assert drawn.bit_generator.state == skipped.bit_generator.state
-    assert np.array_equal(drawn.random(5), skipped.random(5))
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64,
@@ -272,10 +260,75 @@ def test_skipped_relaxation_draws_leave_the_step_unchanged(bit_generator):
     assert not np.array_equal(runs[0].s, ens.s)  # interactions happened
 
 
+@pytest.mark.parametrize("n, p", [(1, 0.5), (50, 0.1), (1000, 2.5e-3),
+                                  (200_000, 2.5e-3), (5000, 0.3)])
+def test_drawn_subsets_are_sorted_unique_and_in_range(n, p):
+    for j in range(20):
+        idx = _draw_subset(RngStream(7, j).generator(), n, p)
+        assert idx.dtype.kind == "i"
+        assert np.all(np.diff(idx) > 0)
+        assert idx.size == 0 or (idx[0] >= 0 and idx[-1] < n)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.0 + 1e-13])
+def test_probability_one_draws_every_particle(p):
+    # dt_check admits dt up to 1 + 1e-12, so p past 1 by rounding is 1
+    for n in (1, 7, 3000):
+        idx = _draw_subset(RngStream(1, 2).generator(), n, p)
+        assert np.array_equal(idx, np.arange(n))
+
+
+def test_each_particle_interacts_at_rate_dt():
+    # over 2000 fixed (seed, step) streams each particle's count of
+    # interactions is Binomial(2000, dt): mean 200, sigma 13.4; 5 sigma
+    # bounds all 50 particles, failing with chance about 3e-5 (normal
+    # approximation) for a seed drawn at random
+    n, dt, steps = 50, 0.1, 2000
+    counts = np.zeros(n, dtype=np.int64)
+    for j in range(1, steps + 1):
+        counts[_draw_subset(RngStream(3, j).generator(), n, dt)] += 1
+    sigma = np.sqrt(steps * dt * (1 - dt))
+    assert np.all(np.abs(counts - steps * dt) <= 5 * sigma)
+    assert abs(counts.sum() - n * steps * dt) <= 5 * np.sqrt(n) * sigma
+
+
+def test_unsorted_ensemble_steps_as_its_sorted_copy():
+    # the step puts the ensemble in road order first, so any input order
+    # gives the same result, returned in road order
+    sc = paper_comparison_scenario(dx=4e-2, dt=4e-2, N=500, T=0.4)
+    x = np.linspace(-3.99, 3.99, 500)
+    s = np.random.default_rng(4).uniform(0.2, 2.0, 500)
+    perm = np.random.default_rng(5).permutation(500)
+    params = ModelParams(a=1.0, epsilon=1.0, dt=0.5, T=1.0)
+    new = [particle_step(ParticleEnsemble(x=xs, s=ss, weight=1e-3), params,
+                         sc.capacity, sc.grid, RngStream(6, 1).generator())
+           for xs, ss in ((x, s), (x[perm], s[perm]))]
+    assert np.array_equal(new[0].x, new[1].x)
+    assert np.array_equal(new[0].s, new[1].s)
+    assert not np.array_equal(new[0].s, s)  # interactions happened
+
+
+def test_run_across_x_max_keeps_every_particle():
+    # every particle starts just below x_max and ends one cell past x_min
+    # half a road later; equal headways on a constant capacity never change
+    grid = Grid1D(0.0, 1.0, 0.1)
+    n = 1000
+    ens = ParticleEnsemble(x=np.linspace(0.92, 0.98, n), s=np.ones(n),
+                           weight=1.0 / n)
+    params = ModelParams(gamma=0.5, a=0.0, dt=0.1, T=1.0)
+    fields = run_particle(ens, C1, params, grid, seed=8)
+    counts = fields[1.0].rho * grid.dx / ens.weight
+    assert np.array_equal(counts, np.eye(grid.n_cells)[4] * n)
+    masses = [f.rho.sum() * grid.dx for f in fields.values()]
+    assert masses[0] == pytest.approx(masses[-1], rel=1e-12)
+
+
 def test_negative_headway_names_the_particle_step_and_time():
     # dt = epsilon dt = 1: every particle interacts and relaxes in step 1.
-    # Particle 2 (s = 50, speed near 1) meets a partner of headway 0, and
-    # relaxes towards H of a dense cell, so its headway goes below zero.
+    # The ensemble is in road order already, so particle i is the i-th
+    # from x_min. Particle 4 (s = 50, speed near 1) meets a partner of
+    # headway 0, and relaxes towards H of a dense cell, so its headway goes
+    # below zero.
     n = 40
     ens = ParticleEnsemble(x=np.linspace(0.01, 0.99, n),
                            s=np.where(np.arange(n) % 2 == 0, 50.0, 0.0),
@@ -284,7 +337,7 @@ def test_negative_headway_names_the_particle_step_and_time():
                          eta=0.25)
     with pytest.raises(NumericalError,
                        match=r"^step 1 \(t = 1\): negative headway at "
-                             r"particle 2$"):
+                             r"particle 4$"):
         run_particle(ens, C1, params, Grid1D(0.0, 1.0, 0.25), seed=0)
 
 
