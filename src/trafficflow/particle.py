@@ -28,11 +28,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    AccidentCapacity,
     CapacitySpec,
     ConfigError,
+    ConstantCapacity,
     Grid1D,
     MacroField,
     ModelParams,
+    PiecewiseRampCapacity,
     _periodic_wrap,
     capacity_eval,
     first_invalid,
@@ -161,45 +164,150 @@ def _draw_subset(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     return np.sort(rng.choice(n, k, replace=False, shuffle=False))
 
 
-def _road_order(ens: ParticleEnsemble, grid: Grid1D):
-    """Copies of x and s sorted by wrapped position (stable). The previous
-    step's result is almost in order (only overtakes and the wrap at x_max
-    move particles), so this sort stays cheap over a run."""
-    order = np.argsort(grid.wrap(ens.x), kind="stable")
-    return ens.x[order], ens.s[order]
+class ParticleWork:
+    """The arrays of a step on an ensemble of n particles, allocated once
+    per run: the ensemble's positions, the sorted wrapped positions, the
+    unwrapped sorted positions of a step that has to wrap its key, the
+    speed, two headway arrays that take turns as the step's result, and
+    the bool result of the run's s >= 0 check. A step then allocates
+    nothing of the ensemble's size but its sort permutation, so its cost
+    does not depend on how the allocator serves arrays of that size."""
+
+    def __init__(self, n: int):
+        self.x, self.xs, self.raw, self.v = (np.empty(n) for _ in range(4))
+        self.s_pair = (np.empty(n), np.empty(n))
+        self.ok = np.empty(n, dtype=bool)
+
+    def s_for(self, s):
+        """The headway array that a step from headways s writes into: the
+        one that does not hold s."""
+        return self.s_pair[s is self.s_pair[0]]
+
+
+def _capacity_sorted(spec: CapacitySpec, xs: np.ndarray, y, out):
+    """capacity_eval(spec, xs, y), bit for bit, written into out, for
+    sorted positions xs and a scalar y. Each variant is constant on
+    contiguous index ranges of xs, found by searchsorted, so only the
+    ramps of PiecewiseRampCapacity go through np.interp. Any other y, and
+    NaN positions, go to capacity_eval, whose result must then fit out."""
+    if isinstance(spec, ConstantCapacity):
+        out.fill(spec.c0)
+    elif xs.size and np.isnan(xs[-1]):  # NaN sorts last but is in no range
+        out[...] = capacity_eval(spec, xs, y)
+    elif isinstance(spec, PiecewiseRampCapacity):
+        xp = [spec.x_left - spec.delta, spec.x_left + spec.delta,
+              spec.x_right - spec.delta, spec.x_right + spec.delta]
+        fp = [1.0, spec.c_low, spec.c_low, 1.0]
+        i0, i2 = np.searchsorted(xs, xp[::2], side="left")
+        i1, i3 = np.searchsorted(xs, xp[1::2], side="right")
+        # as in capacity_eval: c_low strictly inside the flat part, 1.0
+        # strictly outside the ramps, np.interp on the ramps and the
+        # breakpoints (the ramps overlap only if rounding makes xp1 >= xp2)
+        out.fill(1.0)
+        out[i1:i2] = spec.c_low + 0.0
+        for lo, hi in ((i0, i1), (i2, i3)):
+            out[lo:hi] = np.interp(xs[lo:hi], xp, fp)
+    elif (isinstance(spec, AccidentCapacity) and y is not None
+          and np.ndim(y) == 0):
+        out.fill(1.0)
+        lo = np.searchsorted(xs, -y, side="left")
+        hi = np.searchsorted(xs, y, side="right")
+        out[lo:hi] = 1.0 - spec.drop  # |x| <= y
+    else:  # no y, a y with a shape, or an unknown spec
+        out[...] = capacity_eval(spec, xs, y)
+    return out
+
+
+def _cells(xs: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """grid.cell_index of wrapped positions, without its wrap (which maps
+    x_max to x_min)."""
+    return np.clip(np.floor((xs - grid.x_min) / grid.dx).astype(np.int64),
+                   0, grid.n_cells - 1)
+
+
+def _density_at(xs: np.ndarray, at: np.ndarray, weight: float,
+                grid: Grid1D) -> np.ndarray:
+    """bin_to_fields(ens, grid).rho at the cells of xs[at], bit for bit,
+    where xs is ens.x wrapped and sorted, so that cell_index(ens.x) is
+    _cells(xs) in another order. The cells grow along xs, so a cell's
+    count is the distance between its first index and the next cell's.
+    Each is searched at the cell's edge and then moved past whole runs of
+    equal positions until _cells agrees on both sides of it; NaN
+    positions, sorted last, are in cell 0, where cell_index's clip puts
+    them."""
+    cells = _cells(xs[at], grid)
+    k = np.concatenate([cells, cells + 1])
+    finite = np.searchsorted(xs, np.nan, side="left")
+    q = np.searchsorted(xs, grid.x_min + k * grid.dx, side="left")
+    while True:
+        down = q > 0
+        down[down] = _cells(xs[q[down] - 1], grid) >= k[down]
+        up = q < finite
+        up[up] = _cells(xs[q[up]], grid) < k[up]
+        if not (down.any() or up.any()):
+            break
+        q[down] = np.searchsorted(xs, xs[q[down] - 1], side="left")
+        q[up] = np.searchsorted(xs, xs[q[up]], side="right")
+    counts = q[cells.size:] - q[:cells.size]
+    counts[cells == 0] += xs.size - finite
+    return weight * counts / grid.dx
 
 
 def particle_step(ens: ParticleEnsemble, params: ModelParams,
                   capacity: CapacitySpec, grid: Grid1D,
-                  rng: np.random.Generator, y=None) -> ParticleEnsemble:
+                  rng: np.random.Generator, y=None,
+                  work: ParticleWork | None = None) -> ParticleEnsemble:
     """One step; returns the ensemble in the road order of its start.
 
-    Both headway increments read the pre-step state and are added into the
-    sorted copy of s, so the new positions are the step's one new
-    ensemble array and its last allocation: with a new s allocated next to
-    them, glibc trimmed and refilled the heap top every other step."""
+    The step sorts the ensemble by wrapped position (stable). The previous
+    step's result is almost in order (only overtakes and the wrap at x_max
+    move particles), so this sort stays cheap over a run. Its key is
+    ens.x itself when ens.x is work.x, the previous step's wrapped
+    result: grid.wrap returns its own results unchanged, except x_max,
+    which it maps to x_min, so the step wraps the key only when the
+    largest position is not below x_max, or when the ensemble is not the
+    work's. Both headway increments read the pre-step state and are
+    added into the sorted copy of s.
+
+    The result is written into work (a ParticleWork(ens.n), allocated when
+    not given): with a work, the step reuses the arrays of the ensemble
+    that it returned before, so that ensemble is only valid until the next
+    step with the same work. ens is only read when it is not the work's."""
     dt = params.dt
-    x, s = _road_order(ens, grid)
-    xw = grid.wrap(x)
-    c_self = capacity_eval(capacity, xw, y)
-    v_self = c_self * speed_V(s)
+    if work is None:
+        work = ParticleWork(ens.n)
+    xs = work.xs
+    own = ens.x is work.x
+    if own:
+        order = np.argsort(ens.x, kind="stable")
+        x = np.take(ens.x, order, out=xs, mode="clip")
+        own = not xs.size or xs[-1] < grid.x_max  # False on NaN too
+    if not own:
+        key = _periodic_wrap(ens.x, grid.x_min, grid.length, out=work.raw)
+        order = np.argsort(key, kind="stable")
+        np.take(key, order, out=xs, mode="clip")
+        x = np.take(ens.x, order, out=work.raw, mode="clip")  # key is read
+    s = np.take(ens.s, order, out=work.s_for(ens.s), mode="clip")
+    # ens.x is read, so its array holds the capacity until the advance
+    v = speed_V(s, out=work.v)
+    v *= _capacity_sorted(capacity, xs, y, out=work.x)
 
     idx = _draw_subset(rng, ens.n, dt)
-    partners = _select_partners(xw, xw[idx] + params.eta, grid.dx / 2,
+    partners = _select_partners(xs, xs[idx] + params.eta, grid.dx / 2,
                                 grid.length, grid.x_min,
                                 rng.random(idx.size))
-    v_star = c_self[partners] * speed_V(s[partners])
-    interaction = params.gamma * (v_star - v_self[idx])
+    interaction = params.gamma * (v[partners] - v[idx])
 
     if params.a > 0:
         relax = _draw_subset(rng, ens.n, params.epsilon * dt)
         if relax.size:
-            rho = bin_to_fields(ens, grid).rho
-            rho_local = rho[grid.cell_index(x[relax])]
+            rho_local = _density_at(xs, relax, ens.weight, grid)
             s[relax] += params.a * (headway_H(rho_local) - s[relax])
     s[idx] += interaction
 
-    new_x = grid.wrap(x + v_self * dt)
+    v *= dt
+    v += x
+    new_x = _periodic_wrap(v, grid.x_min, grid.length, out=work.x)
     return replace(ens, x=new_x, s=s)
 
 
@@ -210,10 +318,12 @@ def run_particle(ens: ParticleEnsemble, capacity: CapacitySpec,
     returns {time: MacroField} (or hands each to emit, see
     core.integrate)."""
     dt_check(params, capacity, grid)
+    work = ParticleWork(ens.n)
     return integrate(
         ens,
         lambda e, j: particle_step(e, params, capacity, grid,
-                                   RngStream(seed, j).generator(), y),
+                                   RngStream(seed, j).generator(), y, work),
         lambda e: bin_to_fields(e, grid),
-        lambda e: first_invalid(e.s >= 0, "negative headway", "particle"),
+        lambda e: first_invalid(np.greater_equal(e.s, 0, out=work.ok),
+                                "negative headway", "particle"),
         params, out_times, emit)

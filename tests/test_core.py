@@ -334,6 +334,47 @@ def test_periodic_wrap_edges_equal_mod_bit_for_bit(x_min, length):
         _mod_wrap(x, x_min, length))
 
 
+x_mins = st.one_of(st.sampled_from([0.0, -0.0, -4.0]),
+                   st.floats(min_value=-1e6, max_value=1e6))
+
+
+@given(x_mins, lengths, st.floats(min_value=-1e6, max_value=1e6))
+def test_periodic_wrap_lap_edges_equal_mod_bit_for_bit(x_min, length, x):
+    # offsets at one and two laps and 1 ulp either side, from any x_min
+    x_max = x_min + length
+    points = [x, x_min, x_max, x_min - 1e-300]
+    for k in (1, 2):
+        r = k * length
+        for offset in (r, np.nextafter(r, -np.inf), np.nextafter(r, np.inf)):
+            points.append(x_min + offset)
+        for edge in (x_min + r, x_max + (k - 1) * length):
+            points += [edge, np.nextafter(edge, -np.inf),
+                       np.nextafter(edge, np.inf)]
+    arr = np.array(points)
+    assert _bits(_periodic_wrap(arr, x_min, length)) == _bits(
+        _mod_wrap(arr, x_min, length))
+
+
+@given(x_mins, lengths,
+       st.lists(st.one_of(st.floats(min_value=-1e7, max_value=1e7),
+                          st.sampled_from([0.0, -0.0, 1e-300, -1e-300])),
+                max_size=32))
+def test_wrap_returns_its_own_results_except_x_max(x_min, length, xs):
+    # the particle step sorts its own wrapped positions unwrapped again,
+    # which is exact because of this
+    x_max = x_min + length
+    assume(x_max > x_min)
+    grid = Grid1D(x_min, x_max, x_max - x_min)
+    assert grid.wrap(grid.x_max) == grid.x_min
+    edges = [x_min, x_max, x_min - 1e-300]
+    for e in edges[:2]:
+        edges += [np.nextafter(e, -np.inf), np.nextafter(e, np.inf)]
+    w = grid.wrap(np.array(xs + edges))
+    inside = w < grid.x_max
+    assert np.all(w >= grid.x_min)
+    assert _bits(grid.wrap(w[inside])) == _bits(w[inside])
+
+
 @given(st.lists(st.one_of(st.floats(),
                           st.sampled_from([np.nan, np.inf, -np.inf, -0.0])),
                 min_size=1, max_size=32),

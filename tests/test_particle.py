@@ -2,21 +2,27 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trafficflow.core import (
+    AccidentCapacity,
     ConfigError,
     ConstantCapacity,
     Grid1D,
     ModelParams,
     NumericalError,
+    PiecewiseRampCapacity,
     _periodic_wrap,
+    capacity_eval,
     headway_H,
     speed_V,
 )
 from trafficflow.particle import (
     ParticleEnsemble,
+    ParticleWork,
     RngStream,
+    _capacity_sorted,
+    _density_at,
     _draw_subset,
     _select_partners,
     bin_to_fields,
@@ -350,3 +356,131 @@ def test_run_particle_rejects_large_dt_before_stepping():
                      Grid1D(0.0, 1.0, 0.5), seed=0,
                      emit=lambda t, field: observed.append(t))
     assert observed == []
+
+
+# ---------------------------------------------------------------------------
+# Sorted-range capacity, relaxation density and the step's workspace
+# ---------------------------------------------------------------------------
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def capacity_cases(draw):
+    """A capacity of each variant and sorted positions at its breakpoints,
+    1 ulp either side of them, and around and between them."""
+    kind = draw(st.sampled_from(["ramp", "accident", "constant"]))
+    y, points = None, [0.0, -0.0, -np.inf, np.inf]
+    if kind == "ramp":
+        x_left = draw(st.one_of(st.just(-2.0),
+                                st.floats(min_value=-1e3, max_value=1e3)))
+        delta = draw(st.floats(min_value=1e-12, max_value=10.0))
+        x_right = x_left + 2 * delta + draw(st.floats(min_value=1e-9,
+                                                      max_value=100.0))
+        assume(x_right - x_left > 2 * delta)
+        spec = PiecewiseRampCapacity(
+            draw(st.sampled_from([0.0, -0.0, 0.6, 1.0])), x_left, x_right,
+            delta)
+        edges = [x_left - delta, x_left + delta, x_right - delta,
+                 x_right + delta]
+    elif kind == "accident":
+        spec = AccidentCapacity(draw(st.sampled_from([0.4, 1.0, 0.0])))
+        y = draw(st.one_of(st.sampled_from([0.0, 1.5]),
+                           st.floats(min_value=0.0, max_value=1e3)))
+        edges = [-y, y]
+    else:
+        spec, edges = ConstantCapacity(draw(st.sampled_from([0.8, 0.0]))), []
+    for b in edges:
+        points += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+    lo, hi = (min(edges) - 1.0, max(edges) + 1.0) if edges else (-4.0, 4.0)
+    points += draw(st.lists(st.floats(min_value=lo, max_value=hi),
+                            max_size=40))
+    if draw(st.booleans()):  # each position many times
+        points *= draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        points.append(np.nan)  # sorts last: the step's degenerate states
+    return spec, y, np.sort(np.array(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity_cases())
+def test_sorted_range_capacity_equals_capacity_eval(case):
+    spec, y, xs = case
+    out = np.full(xs.size, -1.0)
+    assert _capacity_sorted(spec, xs, y, out) is out
+    assert _bits(out) == _bits(capacity_eval(spec, xs, y))
+
+
+def test_sorted_range_capacity_raises_as_capacity_eval():
+    with pytest.raises(ConfigError, match="requires the half-width y"):
+        _capacity_sorted(AccidentCapacity(0.4), np.zeros(3), None,
+                         np.empty(3))
+
+
+@pytest.mark.parametrize("x_min, x_max, dx", [(0.0, 1.0, 0.1),
+                                              (-4.0, 4.0, 0.01),
+                                              (0.1, 0.7, 0.05)])
+def test_relaxation_density_equals_bin_to_fields(x_min, x_max, dx):
+    grid = Grid1D(x_min, x_max, dx)
+    edges = x_min + np.arange(grid.n_cells + 1) * dx
+    x = np.concatenate([
+        [x_min, x_max, x_min - 1e-300, x_min - 1e-300, x_max, x_min],
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        np.random.default_rng(2).uniform(x_min - 1.0, x_max + 1.0, 500),
+        [np.nan]])  # sorts last; cell_index puts it in cell 0
+    ens = ParticleEnsemble(x=x, s=np.ones(x.size), weight=0.3)
+    order = np.argsort(grid.wrap(x), kind="stable")
+    xs = grid.wrap(x)[order]
+    at = np.arange(x.size)
+    with np.errstate(invalid="ignore"):  # NaN cast to an integer
+        want = bin_to_fields(ens, grid).rho[grid.cell_index(x[order])]
+        got = _density_at(xs, at, ens.weight, grid)
+    assert _bits(got) == _bits(want)
+    # a few particles, in any order and repeated, as the step draws them
+    at = np.array([3, 0, 1, x.size - 2, 0])
+    assert _bits(_density_at(xs, at, ens.weight, grid)) == _bits(want[at])
+
+
+CAPACITIES = [(PiecewiseRampCapacity(0.6, 0.3, 0.7, 0.05), None),
+              (AccidentCapacity(0.4), 0.2), (ConstantCapacity(0.8), None)]
+
+
+@pytest.mark.parametrize("capacity, y", CAPACITIES)
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_steps_with_a_work_equal_steps_without(capacity, y, a):
+    # particles at x_max, at x_min and just below it; those below it have
+    # headway 0, so they stand still and the first step leaves them at
+    # x_max, where the second step cannot use its positions as the key
+    grid = Grid1D(0.0, 1.0, 0.05)
+    n = 2000
+    x = np.linspace(-0.5, 1.5, n)
+    s = np.random.default_rng(1).uniform(0.1, 1.5, n)
+    x[:6], x[6:12], x[12:20], s[12:20] = 1.0, 0.0, -1e-300, 0.0
+    params = ModelParams(gamma=0.5, a=a, epsilon=10.0, eta=0.05, dt=0.04,
+                         T=1.0)
+    work = ParticleWork(n)
+    with_work = without = ParticleEnsemble(x=x, s=s, weight=1.0 / n)
+    for j in range(1, 201):
+        rng = [RngStream(3, j).generator() for _ in range(2)]
+        with_work = particle_step(with_work, params, capacity, grid, rng[0],
+                                  y, work=work)
+        without = particle_step(without, params, capacity, grid, rng[1], y)
+        assert with_work.x is work.x
+        assert _bits(with_work.x) == _bits(without.x)
+        assert _bits(with_work.s) == _bits(without.s)
+        if j == 1:
+            assert with_work.x.max() == grid.x_max
+    assert not np.array_equal(with_work.s, s)  # interactions happened
+
+
+def test_step_without_a_work_leaves_the_ensemble_unchanged():
+    grid = Grid1D(0.0, 1.0, 0.05)
+    x = np.linspace(-0.2, 1.2, 300)
+    s = np.random.default_rng(3).uniform(0.1, 1.5, 300)
+    ens = ParticleEnsemble(x=x.copy(), s=s.copy(), weight=1.0 / 300)
+    params = ModelParams(gamma=0.5, a=1.0, epsilon=10.0, eta=0.05, dt=0.08)
+    new = particle_step(ens, params, CAPACITIES[0][0], grid,
+                        RngStream(4, 1).generator())
+    assert _bits(ens.x) == _bits(x) and _bits(ens.s) == _bits(s)
+    assert not np.array_equal(new.s, s[np.argsort(grid.wrap(x))])

@@ -15,7 +15,10 @@ order) = (1, 0), (3, 1), (5, 4), (9, 8) and (9, 0) and a = 0 and 1 ((9, 0)
 is the scenario default, and the one run whose expectation takes the
 mode-0 point value where a quadrature average would differ in the last
 bits) and under a Beta(1, 1) law, `simulate` for all four models,
-`compare` on the accident, ramp and constant capacities at a = 0 and 1,
+`simulate --model particle` on a road of length 1 that its particles lap
+about four times through an accident, with relaxation on
+(`simulate_particle_laps`), `compare` on the accident, ramp and constant
+capacities at a = 0 and 1,
 one run per model that exits 3 (and a Galerkin step, a convergence
 study and a macro2 snapshot with a negative headway that do), runs that
 exit 2 (the particle dt bound, in `simulate` and after macro2 in
@@ -120,6 +123,15 @@ def commands(change: Path) -> list:
                          ["compare", "--models",
                           "macro1,macro2,micro,particle", "--seed", "4"]
                          + extra))
+    # a road of length 1 that each particle laps about four times, through
+    # an accident at its middle, with relaxation on
+    runs.append(("simulate_particle_laps",
+                 _variant(SIMULATE, domain={"xmin": -0.5, "xmax": 0.5},
+                          capacity=CAPACITIES["accident"],
+                          params={"a": 1.0, "epsilon": 1.0, "dt": 0.004,
+                                  "T": 8.0}),
+                 ["simulate", "--model", "particle", "--seed", "5",
+                  "--accident-size", "0.2"]))
 
     # runs that exit 3: a density whose neighbour sum overflows (macro1), an
     # empty half of the road (macro2 and its Galerkin step), a near-empty
