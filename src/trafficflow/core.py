@@ -403,6 +403,13 @@ class AccidentCapacity:
 CapacitySpec = Union[ConstantCapacity, PiecewiseRampCapacity, AccidentCapacity]
 
 
+def _ramp_points(spec: PiecewiseRampCapacity):
+    """The breakpoints of the ramp capacity and its values at them."""
+    return ([spec.x_left - spec.delta, spec.x_left + spec.delta,
+             spec.x_right - spec.delta, spec.x_right + spec.delta],
+            [1.0, spec.c_low, spec.c_low, 1.0])
+
+
 def capacity_eval(spec: CapacitySpec, x, y=None):
     """Evaluate the capacity at (already wrapped) positions x.
 
@@ -415,9 +422,7 @@ def capacity_eval(spec: CapacitySpec, x, y=None):
     if isinstance(spec, ConstantCapacity):
         return np.full(shape, spec.c0)
     if isinstance(spec, PiecewiseRampCapacity):
-        xp = [spec.x_left - spec.delta, spec.x_left + spec.delta,
-              spec.x_right - spec.delta, spec.x_right + spec.delta]
-        fp = [1.0, spec.c_low, spec.c_low, 1.0]
+        xp, fp = _ramp_points(spec)
         # np.interp gives exactly 1.0 beyond the end points and 0 * (x - xp1)
         # + c_low = c_low + 0.0 strictly inside the flat part; it runs only
         # on the ramps, the breakpoints themselves and NaN
@@ -435,6 +440,31 @@ def capacity_eval(spec: CapacitySpec, x, y=None):
         y = np.asarray(y, dtype=float)
         return np.where(np.abs(x) <= y, 1.0 - spec.drop, 1.0)
     raise ConfigError(f"unknown capacity spec {spec!r}")
+
+
+def _capacity_eval_sorted(spec: CapacitySpec, xs: np.ndarray, y, out):
+    """capacity_eval(spec, xs, y), bit for bit, written into out, for
+    sorted 1-D positions xs. The ramp capacity is constant on contiguous
+    index ranges of xs, found by searchsorted, so only its ramps go through
+    np.interp. The other variants, and NaN positions (sorted last, in no
+    range), take capacity_eval, whose result must then fit out."""
+    if isinstance(spec, ConstantCapacity):
+        out.fill(spec.c0)
+    elif (not isinstance(spec, PiecewiseRampCapacity)
+          or (xs.size and np.isnan(xs[-1]))):
+        out[...] = capacity_eval(spec, xs, y)
+    else:
+        xp, fp = _ramp_points(spec)
+        i0, i2 = np.searchsorted(xs, xp[::2], side="left")
+        i1, i3 = np.searchsorted(xs, xp[1::2], side="right")
+        # as in capacity_eval: c_low strictly inside the flat part, 1.0
+        # strictly outside the ramps, np.interp on the ramps and the
+        # breakpoints (the ramps overlap only if rounding makes xp1 >= xp2)
+        out.fill(1.0)
+        out[i1:i2] = spec.c_low + 0.0
+        for lo, hi in ((i0, i1), (i2, i3)):
+            out[lo:hi] = np.interp(xs[lo:hi], xp, fp)
+    return out
 
 
 def capacity_max(spec: CapacitySpec) -> float:

@@ -28,16 +28,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    AccidentCapacity,
     CapacitySpec,
     ConfigError,
-    ConstantCapacity,
     Grid1D,
     MacroField,
     ModelParams,
-    PiecewiseRampCapacity,
+    _capacity_eval_sorted,
     _periodic_wrap,
-    capacity_eval,
     first_invalid,
     headway_H,
     integrate,
@@ -184,40 +181,6 @@ class ParticleWork:
         return self.s_pair[s is self.s_pair[0]]
 
 
-def _capacity_sorted(spec: CapacitySpec, xs: np.ndarray, y, out):
-    """capacity_eval(spec, xs, y), bit for bit, written into out, for
-    sorted positions xs and a scalar y. Each variant is constant on
-    contiguous index ranges of xs, found by searchsorted, so only the
-    ramps of PiecewiseRampCapacity go through np.interp. Any other y, and
-    NaN positions, go to capacity_eval, whose result must then fit out."""
-    if isinstance(spec, ConstantCapacity):
-        out.fill(spec.c0)
-    elif xs.size and np.isnan(xs[-1]):  # NaN sorts last but is in no range
-        out[...] = capacity_eval(spec, xs, y)
-    elif isinstance(spec, PiecewiseRampCapacity):
-        xp = [spec.x_left - spec.delta, spec.x_left + spec.delta,
-              spec.x_right - spec.delta, spec.x_right + spec.delta]
-        fp = [1.0, spec.c_low, spec.c_low, 1.0]
-        i0, i2 = np.searchsorted(xs, xp[::2], side="left")
-        i1, i3 = np.searchsorted(xs, xp[1::2], side="right")
-        # as in capacity_eval: c_low strictly inside the flat part, 1.0
-        # strictly outside the ramps, np.interp on the ramps and the
-        # breakpoints (the ramps overlap only if rounding makes xp1 >= xp2)
-        out.fill(1.0)
-        out[i1:i2] = spec.c_low + 0.0
-        for lo, hi in ((i0, i1), (i2, i3)):
-            out[lo:hi] = np.interp(xs[lo:hi], xp, fp)
-    elif (isinstance(spec, AccidentCapacity) and y is not None
-          and np.ndim(y) == 0):
-        out.fill(1.0)
-        lo = np.searchsorted(xs, -y, side="left")
-        hi = np.searchsorted(xs, y, side="right")
-        out[lo:hi] = 1.0 - spec.drop  # |x| <= y
-    else:  # no y, a y with a shape, or an unknown spec
-        out[...] = capacity_eval(spec, xs, y)
-    return out
-
-
 def _cells(xs: np.ndarray, grid: Grid1D) -> np.ndarray:
     """grid.cell_index of wrapped positions, without its wrap (which maps
     x_max to x_min)."""
@@ -228,29 +191,10 @@ def _cells(xs: np.ndarray, grid: Grid1D) -> np.ndarray:
 def _density_at(xs: np.ndarray, at: np.ndarray, weight: float,
                 grid: Grid1D) -> np.ndarray:
     """bin_to_fields(ens, grid).rho at the cells of xs[at], bit for bit,
-    where xs is ens.x wrapped and sorted, so that cell_index(ens.x) is
-    _cells(xs) in another order. The cells grow along xs, so a cell's
-    count is the distance between its first index and the next cell's.
-    Each is searched at the cell's edge and then moved past whole runs of
-    equal positions until _cells agrees on both sides of it; NaN
-    positions, sorted last, are in cell 0, where cell_index's clip puts
-    them."""
-    cells = _cells(xs[at], grid)
-    k = np.concatenate([cells, cells + 1])
-    finite = np.searchsorted(xs, np.nan, side="left")
-    q = np.searchsorted(xs, grid.x_min + k * grid.dx, side="left")
-    while True:
-        down = q > 0
-        down[down] = _cells(xs[q[down] - 1], grid) >= k[down]
-        up = q < finite
-        up[up] = _cells(xs[q[up]], grid) < k[up]
-        if not (down.any() or up.any()):
-            break
-        q[down] = np.searchsorted(xs, xs[q[down] - 1], side="left")
-        q[up] = np.searchsorted(xs, xs[q[up]], side="right")
-    counts = q[cells.size:] - q[:cells.size]
-    counts[cells == 0] += xs.size - finite
-    return weight * counts / grid.dx
+    where xs is ens.x wrapped, in any order: the same cell counts, without
+    the headway sums and the field's checks."""
+    counts = np.bincount(_cells(xs, grid), minlength=grid.n_cells)
+    return weight * counts[_cells(xs[at], grid)] / grid.dx
 
 
 def particle_step(ens: ParticleEnsemble, params: ModelParams,
@@ -290,7 +234,7 @@ def particle_step(ens: ParticleEnsemble, params: ModelParams,
     s = np.take(ens.s, order, out=work.s_for(ens.s), mode="clip")
     # ens.x is read, so its array holds the capacity until the advance
     v = speed_V(s, out=work.v)
-    v *= _capacity_sorted(capacity, xs, y, out=work.x)
+    v *= _capacity_eval_sorted(capacity, xs, y, out=work.x)
 
     idx = _draw_subset(rng, ens.n, dt)
     partners = _select_partners(xs, xs[idx] + params.eta, grid.dx / 2,

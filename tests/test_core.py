@@ -4,11 +4,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from trafficflow.core import (
     AccidentCapacity,
+    _capacity_eval_sorted,
     _periodic_wrap,
     ConfigError,
     ConstantCapacity,
@@ -256,6 +257,47 @@ def test_ramp_capacity_equals_interp_bit_for_bit(case):
     assert _bits(got) == _bits(np.broadcast_to(want, (3, len(x))))
 
 
+@st.composite
+def sorted_capacity_cases(draw):
+    """A capacity of each variant and sorted positions at its breakpoints,
+    1 ulp either side of them, and around them, each maybe repeated."""
+    kind = draw(st.sampled_from(["ramp", "accident", "constant"]))
+    y = None
+    if kind == "ramp":
+        spec, _, _, x = draw(ramps_and_positions())
+        if draw(st.booleans()):  # NaN sorts last and takes capacity_eval
+            x = x[~np.isnan(x)]
+    else:
+        x = [0.0, -0.0, np.inf, -np.inf]
+        if kind == "accident":
+            spec = AccidentCapacity(draw(st.sampled_from([0.4, 1.0, 0.0])))
+            y = draw(st.one_of(st.sampled_from([0.0, 1.5]),
+                               st.floats(min_value=0.0, max_value=1e3)))
+            for b in (-y, y):  # |x| = y
+                x += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+        else:
+            spec = ConstantCapacity(draw(st.sampled_from([0.8, 0.0])))
+        x += draw(st.lists(st.floats(min_value=-2e3, max_value=2e3),
+                           max_size=40))
+    x = np.repeat(x, draw(st.integers(1, 3)))
+    return spec, y, np.sort(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_capacity_cases())
+def test_sorted_range_capacity_equals_capacity_eval(case):
+    spec, y, xs = case
+    out = np.full(xs.size, -1.0)
+    assert _capacity_eval_sorted(spec, xs, y, out) is out
+    assert _bits(out) == _bits(capacity_eval(spec, xs, y))
+
+
+def test_sorted_range_capacity_raises_as_capacity_eval():
+    with pytest.raises(ConfigError, match="requires the half-width y"):
+        _capacity_eval_sorted(AccidentCapacity(0.4), np.zeros(3), None,
+                              np.empty(3))
+
+
 def test_ramp_capacity_rejects_overlapping_ramps():
     with pytest.raises(ConfigError):
         PiecewiseRampCapacity(0.6, -0.05, 0.05, 0.1)
@@ -306,14 +348,14 @@ def _bits(x):
 
 
 lengths = st.one_of(st.just(8.0), st.floats(min_value=1e-3, max_value=1e3))
+x_mins = st.one_of(st.sampled_from([0.0, -0.0, -4.0]),
+                   st.floats(min_value=-1e6, max_value=1e6))
 
 
 @given(st.lists(st.one_of(st.floats(min_value=-1e6, max_value=1e6),
                           st.sampled_from([0.0, -0.0, 1e-300, -1e-300])),
                 min_size=1, max_size=64),
-       st.one_of(st.sampled_from([0.0, -0.0, -4.0]),
-                 st.floats(min_value=-1e3, max_value=1e3)),
-       lengths)
+       x_mins, lengths)
 def test_periodic_wrap_equals_mod_bit_for_bit(xs, x_min, length):
     x = np.array(xs)
     got = _periodic_wrap(x, x_min, length)
@@ -321,38 +363,22 @@ def test_periodic_wrap_equals_mod_bit_for_bit(xs, x_min, length):
     assert np.array_equal(x, np.array(xs))  # input untouched
 
 
-@pytest.mark.parametrize("x_min", [0.0, -0.0])
-@given(lengths)
-def test_periodic_wrap_edges_equal_mod_bit_for_bit(x_min, length):
-    # with x_min = +-0 the offset x - x_min is exactly x
-    edges = [0.0, -0.0, 1e-300, -1e-300, 1e6, -1e6]
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@given(x_mins, lengths)
+def test_periodic_wrap_edges_equal_mod_bit_for_bit(zero, x_min, length):
+    # whole laps and 1 ulp either side of them: as offsets from x_min = +-0,
+    # where x - x_min is exactly x, and as positions from any x_min
+    laps = [0.0, -0.0, 1e-300, -1e-300, 1e6, -1e6]
     for k in (-3, -2, -1, 1, 2, 3):
-        edges += [k * length, np.nextafter(k * length, np.inf),
-                  np.nextafter(k * length, -np.inf)]
-    x = np.array(edges)
-    assert _bits(_periodic_wrap(x, x_min, length)) == _bits(
-        _mod_wrap(x, x_min, length))
-
-
-x_mins = st.one_of(st.sampled_from([0.0, -0.0, -4.0]),
-                   st.floats(min_value=-1e6, max_value=1e6))
-
-
-@given(x_mins, lengths, st.floats(min_value=-1e6, max_value=1e6))
-def test_periodic_wrap_lap_edges_equal_mod_bit_for_bit(x_min, length, x):
-    # offsets at one and two laps and 1 ulp either side, from any x_min
-    x_max = x_min + length
-    points = [x, x_min, x_max, x_min - 1e-300]
+        laps += [k * length, np.nextafter(k * length, np.inf),
+                 np.nextafter(k * length, -np.inf)]
+    edges = [x_min + r for r in laps] + [x_min - 1e-300]
     for k in (1, 2):
-        r = k * length
-        for offset in (r, np.nextafter(r, -np.inf), np.nextafter(r, np.inf)):
-            points.append(x_min + offset)
-        for edge in (x_min + r, x_max + (k - 1) * length):
-            points += [edge, np.nextafter(edge, -np.inf),
-                       np.nextafter(edge, np.inf)]
-    arr = np.array(points)
-    assert _bits(_periodic_wrap(arr, x_min, length)) == _bits(
-        _mod_wrap(arr, x_min, length))
+        for e in (x_min + k * length, x_min + length + (k - 1) * length):
+            edges += [e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)]
+    for base, x in ((zero, np.array(laps)), (x_min, np.array(edges))):
+        assert _bits(_periodic_wrap(x, base, length)) == _bits(
+            _mod_wrap(x, base, length))
 
 
 @given(x_mins, lengths,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from trafficflow.core import (
     AccidentCapacity,
@@ -13,7 +13,6 @@ from trafficflow.core import (
     NumericalError,
     PiecewiseRampCapacity,
     _periodic_wrap,
-    capacity_eval,
     headway_H,
     speed_V,
 )
@@ -21,7 +20,6 @@ from trafficflow.particle import (
     ParticleEnsemble,
     ParticleWork,
     RngStream,
-    _capacity_sorted,
     _density_at,
     _draw_subset,
     _select_partners,
@@ -359,63 +357,11 @@ def test_run_particle_rejects_large_dt_before_stepping():
 
 
 # ---------------------------------------------------------------------------
-# Sorted-range capacity, relaxation density and the step's workspace
+# Relaxation density and the step's workspace
 # ---------------------------------------------------------------------------
 
 def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
-
-
-@st.composite
-def capacity_cases(draw):
-    """A capacity of each variant and sorted positions at its breakpoints,
-    1 ulp either side of them, and around and between them."""
-    kind = draw(st.sampled_from(["ramp", "accident", "constant"]))
-    y, points = None, [0.0, -0.0, -np.inf, np.inf]
-    if kind == "ramp":
-        x_left = draw(st.one_of(st.just(-2.0),
-                                st.floats(min_value=-1e3, max_value=1e3)))
-        delta = draw(st.floats(min_value=1e-12, max_value=10.0))
-        x_right = x_left + 2 * delta + draw(st.floats(min_value=1e-9,
-                                                      max_value=100.0))
-        assume(x_right - x_left > 2 * delta)
-        spec = PiecewiseRampCapacity(
-            draw(st.sampled_from([0.0, -0.0, 0.6, 1.0])), x_left, x_right,
-            delta)
-        edges = [x_left - delta, x_left + delta, x_right - delta,
-                 x_right + delta]
-    elif kind == "accident":
-        spec = AccidentCapacity(draw(st.sampled_from([0.4, 1.0, 0.0])))
-        y = draw(st.one_of(st.sampled_from([0.0, 1.5]),
-                           st.floats(min_value=0.0, max_value=1e3)))
-        edges = [-y, y]
-    else:
-        spec, edges = ConstantCapacity(draw(st.sampled_from([0.8, 0.0]))), []
-    for b in edges:
-        points += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
-    lo, hi = (min(edges) - 1.0, max(edges) + 1.0) if edges else (-4.0, 4.0)
-    points += draw(st.lists(st.floats(min_value=lo, max_value=hi),
-                            max_size=40))
-    if draw(st.booleans()):  # each position many times
-        points *= draw(st.integers(2, 4))
-    if draw(st.booleans()):
-        points.append(np.nan)  # sorts last: the step's degenerate states
-    return spec, y, np.sort(np.array(points))
-
-
-@settings(max_examples=300, deadline=None)
-@given(capacity_cases())
-def test_sorted_range_capacity_equals_capacity_eval(case):
-    spec, y, xs = case
-    out = np.full(xs.size, -1.0)
-    assert _capacity_sorted(spec, xs, y, out) is out
-    assert _bits(out) == _bits(capacity_eval(spec, xs, y))
-
-
-def test_sorted_range_capacity_raises_as_capacity_eval():
-    with pytest.raises(ConfigError, match="requires the half-width y"):
-        _capacity_sorted(AccidentCapacity(0.4), np.zeros(3), None,
-                         np.empty(3))
 
 
 @pytest.mark.parametrize("x_min, x_max, dx", [(0.0, 1.0, 0.1),
@@ -436,10 +382,11 @@ def test_relaxation_density_equals_bin_to_fields(x_min, x_max, dx):
     with np.errstate(invalid="ignore"):  # NaN cast to an integer
         want = bin_to_fields(ens, grid).rho[grid.cell_index(x[order])]
         got = _density_at(xs, at, ens.weight, grid)
+        # a few particles, in any order and repeated, as the step draws them
+        few = np.array([3, 0, 1, x.size - 2, 0])
+        got_few = _density_at(xs, few, ens.weight, grid)
     assert _bits(got) == _bits(want)
-    # a few particles, in any order and repeated, as the step draws them
-    at = np.array([3, 0, 1, x.size - 2, 0])
-    assert _bits(_density_at(xs, at, ens.weight, grid)) == _bits(want[at])
+    assert _bits(got_few) == _bits(want[few])
 
 
 CAPACITIES = [(PiecewiseRampCapacity(0.6, 0.3, 0.7, 0.05), None),
