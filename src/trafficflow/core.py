@@ -403,13 +403,6 @@ class AccidentCapacity:
 CapacitySpec = Union[ConstantCapacity, PiecewiseRampCapacity, AccidentCapacity]
 
 
-def _ramp_points(spec: PiecewiseRampCapacity):
-    """The breakpoints of the ramp capacity and its values at them."""
-    return ([spec.x_left - spec.delta, spec.x_left + spec.delta,
-             spec.x_right - spec.delta, spec.x_right + spec.delta],
-            [1.0, spec.c_low, spec.c_low, 1.0])
-
-
 def capacity_eval(spec: CapacitySpec, x, y=None):
     """Evaluate the capacity at (already wrapped) positions x.
 
@@ -422,7 +415,9 @@ def capacity_eval(spec: CapacitySpec, x, y=None):
     if isinstance(spec, ConstantCapacity):
         return np.full(shape, spec.c0)
     if isinstance(spec, PiecewiseRampCapacity):
-        xp, fp = _ramp_points(spec)
+        xp = [spec.x_left - spec.delta, spec.x_left + spec.delta,
+              spec.x_right - spec.delta, spec.x_right + spec.delta]
+        fp = [1.0, spec.c_low, spec.c_low, 1.0]
         # np.interp gives exactly 1.0 beyond the end points and 0 * (x - xp1)
         # + c_low = c_low + 0.0 strictly inside the flat part; it runs only
         # on the ramps, the breakpoints themselves and NaN
@@ -454,7 +449,9 @@ def _capacity_eval_sorted(spec: CapacitySpec, xs: np.ndarray, y, out):
           or (xs.size and np.isnan(xs[-1]))):
         out[...] = capacity_eval(spec, xs, y)
     else:
-        xp, fp = _ramp_points(spec)
+        xp = [spec.x_left - spec.delta, spec.x_left + spec.delta,
+              spec.x_right - spec.delta, spec.x_right + spec.delta]
+        fp = [1.0, spec.c_low, spec.c_low, 1.0]
         i0, i2 = np.searchsorted(xs, xp[::2], side="left")
         i1, i3 = np.searchsorted(xs, xp[1::2], side="right")
         # as in capacity_eval: c_low strictly inside the flat part, 1.0

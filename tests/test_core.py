@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from trafficflow.core import (
@@ -285,6 +285,8 @@ def sorted_capacity_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sorted_capacity_cases())
+@example((PiecewiseRampCapacity(-0.0, -2.0, 1.0, 1.0), None,
+          np.array([-3.0, -1.0, 0.0, 2.0])))  # interp gives -0.0 at xp1
 def test_sorted_range_capacity_equals_capacity_eval(case):
     spec, y, xs = case
     out = np.full(xs.size, -1.0)
