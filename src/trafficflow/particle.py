@@ -167,8 +167,9 @@ class ParticleWork:
     unwrapped sorted positions of a step that has to wrap its key, the
     speed, two headway arrays that take turns as the step's result, and
     the bool result of the run's s >= 0 check. A step then allocates
-    nothing of the ensemble's size but its sort permutation, so its cost
-    does not depend on how the allocator serves arrays of that size."""
+    nothing of the ensemble's size but its sort permutation (and, when a
+    particle relaxes, the cell index of every particle), so its cost does
+    not depend on how the allocator serves arrays of that size."""
 
     def __init__(self, n: int):
         self.x, self.xs, self.raw, self.v = (np.empty(n) for _ in range(4))
