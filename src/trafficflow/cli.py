@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -148,23 +149,105 @@ def _reject_unused_flags(args, scenario: Scenario, models,
                           "only")
 
 
-def _fields_writer(out_dir: Path, filename):
-    """An emit callback for run_model that writes each snapshot to
-    out_dir / filename(t) the moment it is observed, and the dict in which
-    it keeps only the first and the latest snapshot. out_dir is made by the
-    first write, so a run that fails keeps the snapshots written before the
-    failure, and one that fails before its first snapshot leaves no
-    directory."""
-    kept = {}
+class _SnapshotWriter:
+    """Writes the snapshot files of one simulate or compare command, whose
+    fields all live on grid, from one forked writer process, so that their
+    CSV text is formatted while the models step.
 
-    def emit(t, field):
-        if not kept:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            kept["first"] = field
-        output.write_fields_csv(out_dir / filename(t), field)
-        kept["last"] = field
+    `with writer:` forks it; enter after every model's entry check and
+    before the first step. These commands start no thread, and the writer
+    makes no BLAS call, so no lock held at the fork is taken in the
+    writer. The command's snapshots then go over one pipe,
+    each as its file name and a line feed, then the raw float64 bytes of
+    rho and h; the writer rebuilds the field and calls
+    output.write_fields_csv, so every byte is the one an in-process write
+    gives. At its first OSError the writer stops and sends back (errno,
+    strerror, filename); leaving the block closes the pipe, waits for the
+    writer and raises that error as an OSError, over any error of the
+    models. Where os.fork does not exist, each snapshot is written
+    in-process."""
 
-    return emit, kept
+    def __init__(self, out_dir: Path, grid):
+        self.out_dir, self.grid = out_dir, grid
+        self.pipe = None  # the parent's end while the writer runs
+
+    def emitter(self, filename):
+        """An emit callback for run_model that writes each snapshot to
+        out_dir / filename(t), and the dict in which it keeps only the
+        first and the latest snapshot. out_dir is made at the first
+        snapshot, so a run that fails keeps the snapshots written before
+        the failure, and one that fails before its first snapshot leaves
+        no directory."""
+        kept = {}
+
+        def emit(t, field):
+            if not kept:
+                self.out_dir.mkdir(parents=True, exist_ok=True)
+                kept["first"] = field
+            if self.pipe is None:
+                output.write_fields_csv(self.out_dir / filename(t), field)
+            else:
+                self.pipe.write(filename(t).encode() + b"\n")
+                self.pipe.write(field.rho)
+                self.pipe.write(field.h)
+                self.pipe.flush()
+            kept["last"] = field
+
+        return emit, kept
+
+    def __enter__(self):
+        if not hasattr(os, "fork"):
+            return self
+        data_r, data_w = os.pipe()
+        self.report, report_w = os.pipe()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(data_w)
+                os.close(self.report)
+                self._write(data_r, report_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(data_r)
+        os.close(report_w)
+        self.pipe = open(data_w, "wb")
+        return self
+
+    def _write(self, data_r, report_w):
+        """The writer process: write each snapshot read from data_r until
+        EOF, or until the first OSError, which it sends to report_w."""
+        size = 16 * self.grid.n_cells
+        with open(data_r, "rb") as pipe:
+            try:
+                while name := pipe.readline():
+                    rho, h = np.frombuffer(pipe.read(size)).reshape(2, -1)
+                    output.write_fields_csv(
+                        self.out_dir / name[:-1].decode(),
+                        MacroField(rho, h, self.grid))
+            except OSError as exc:
+                os.write(report_w, json.dumps(
+                    [exc.errno, exc.strerror, exc.filename]).encode())
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.pipe is None:
+            return
+        try:
+            self.pipe.close()
+        except BrokenPipeError:
+            pass  # the writer stopped at a failure, which it reported
+        self.pipe = None
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        with open(self.report, "rb") as pipe:
+            report = pipe.read()
+        if report:
+            raise OSError(*json.loads(report))
+        if status and (exc is None or isinstance(exc, Exception)):
+            # a writer that died without a report; an interrupt passes
+            raise OSError(f"the snapshot writer exited with status {status}")
 
 
 def _mass_drift(first: MacroField, last: MacroField, grid) -> float:
@@ -181,9 +264,12 @@ def cmd_simulate(args) -> int:
     _reject_unused_flags(args, scenario, (model,))
     times = _parse_times(args.times, scenario.params)
     out_dir = Path(args.out)
-    emit, kept = _fields_writer(out_dir, output.fields_filename)
-    run_model(scenario, model, seed=args.seed, y=args.accident_size,
-              out_times=times, micro_speed=args.micro_speed, emit=emit)()
+    writer = _SnapshotWriter(out_dir, scenario.grid)
+    emit, kept = writer.emitter(output.fields_filename)
+    run = run_model(scenario, model, seed=args.seed, y=args.accident_size,
+                    out_times=times, micro_speed=args.micro_speed, emit=emit)
+    with writer:
+        run()
     meta = {
         "model": model,
         "scheme": "lax-friedrichs" if model.startswith("macro") else "euler",
@@ -204,15 +290,16 @@ def cmd_compare(args) -> int:
     _reject_unused_flags(args, scenario, models)
     out_dir = Path(args.out)
     T = scenario.params.T
+    writer = _SnapshotWriter(out_dir, scenario.grid)
     runs = []  # every model is checked before the first one steps
     for m in models:
-        emit, kept = _fields_writer(out_dir,
-                                    lambda t, m=m: f"fields_{m}_t{t:g}.csv")
+        emit, kept = writer.emitter(lambda t, m=m: f"fields_{m}_t{t:g}.csv")
         runs.append((m, kept, run_model(
             scenario, m, seed=args.seed, y=args.accident_size,
             out_times=(0.0, T), micro_speed=args.micro_speed, emit=emit)))
-    for _, _, run in runs:
-        run()
+    with writer:  # one writer for every model
+        for _, _, run in runs:
+            run()
     finals = {m: kept["last"] for m, kept, _ in runs}
 
     lines = ["model_a,model_b,l1_rho,l1_rho_rel"]
@@ -257,7 +344,7 @@ def cmd_uq(args) -> int:
     out_dir = Path(args.out)
 
     def out(name):
-        # made by the first write, as in _fields_writer, so a run that
+        # made by the first write, as in _SnapshotWriter, so a run that
         # fails before it leaves no directory
         out_dir.mkdir(parents=True, exist_ok=True)
         return out_dir / name

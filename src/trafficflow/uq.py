@@ -495,11 +495,14 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
             return micro.run_micro(positions, capacity, params, grid, y=y,
                                    out_times=(T,), speed_law=speed_law)[T]
 
-    # Rows evolve in chunks small enough to stay cache-resident, and fewer
-    # per chunk on a larger pool, so that the rows alive at once (one chunk
-    # per thread) stay about 128 whatever the CPU count; rows are
-    # independent and every operation is elementwise per row, so the chunk
-    # size cannot change the results.
+    # Rows evolve in chunks of at most 64, and fewer per chunk on a larger
+    # pool, so that the rows alive at once (one chunk per thread) stay
+    # about 128 whatever the CPU count. A chunk is not cache-resident: 64
+    # macro2 rows of 2000 cells touch about 8 MiB, against 2 MiB of L2 per
+    # core on a 2-core x86 machine, yet 8-, 16- and 32-row chunks made both
+    # uq benchmark jobs slower there. Rows are independent and every
+    # operation is elementwise per row, so the chunk size cannot change the
+    # results.
     chunk = min(64, max(16, 128 // pool_size(threads, len(ys))))
     fields = map_chunks(lambda i: final(ys[i * chunk:(i + 1) * chunk]),
                         -(-len(ys) // chunk), threads)

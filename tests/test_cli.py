@@ -742,6 +742,94 @@ def test_numerical_failure_keeps_the_snapshots_already_written(tmp_path,
     assert sorted(p.name for p in out.iterdir()) == ["fields_t0.csv"]
 
 
+def assert_no_child_process():
+    # the snapshot writer of every finished command has been waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_compare_of_all_four_models_ends(tmp_path):
+    # one writer serves every model; run as its own process with a
+    # timeout, so that a writer that never sees the end of its input fails
+    # the test instead of hanging it
+    sc = write_scenario(tmp_path)
+    out = tmp_path / "cmp"
+    src = Path(trafficflow.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "trafficflow.cli", "compare", "--scenario",
+         str(sc), "--models", "macro1,macro2,micro,particle", "--out",
+         str(out)], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(list(out.glob("fields_*.csv"))) == 8
+    assert (out / "l1_distances.csv").exists()
+
+
+@pytest.mark.parametrize("argv, written, blocked, unwritten", [
+    (["simulate", "--model", "macro2", "--times", "0,0.4,0.8"],
+     ["fields_t0.csv"], "fields_t0.4.csv", ["fields_t0.8.csv"]),
+    (["compare", "--models", "macro1,macro2"],
+     ["fields_macro1_t0.csv", "fields_macro1_t1.csv"],
+     "fields_macro2_t0.csv", ["fields_macro2_t1.csv", "l1_distances.csv"]),
+])
+def test_snapshot_path_that_is_a_directory_exits_4(tmp_path, capsys, argv,
+                                                  written, blocked,
+                                                  unwritten):
+    sc = write_scenario(tmp_path)
+    out = tmp_path / "run"
+    (out / blocked).mkdir(parents=True)
+    assert main(argv + ["--scenario", str(sc), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        f"I/O error: [Errno 21] Is a directory: '{out / blocked}'\n")
+    assert all((out / name).is_file() for name in written)
+    assert not any((out / name).exists()
+                   for name in unwritten + ["metadata.json"])
+    assert_no_child_process()
+
+
+def test_numerical_failure_after_a_write_failure_exits_4(tmp_path, capsys):
+    # the headway of this macro2 run turns negative before the t = 1
+    # snapshot (exit 3 alone); the t = 0 snapshot fails to write first
+    sc = write_scenario(
+        tmp_path, domain={"xmin": -1.0, "xmax": 1.0, "dx": 0.01},
+        params={"gamma": 1.0, "eta": 1.0, "epsilon": 1.0, "a": 0.0,
+                "dt": 0.01, "T": 2.0},
+        capacity={"variant": "piecewise_ramp", "c_low": 0.2,
+                  "x_left": -0.5, "x_right": 0.5, "delta": 0.1},
+        initial={"rho": [{"x_lt": 0.0, "value": 0.5},
+                         {"x_lt": 1.0, "value": 5.0}],
+                 "h": [{"x_lt": 0.3, "value": 0.05},
+                       {"x_lt": 1.0, "value": 2.0}]})
+    argv = ["simulate", "--scenario", str(sc), "--model", "macro2"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 3
+    assert_no_child_process()
+    blocked = tmp_path / "b" / "fields_t0.csv"
+    blocked.mkdir(parents=True)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 4
+    assert capsys.readouterr().err == (
+        f"I/O error: [Errno 21] Is a directory: '{blocked}'\n")
+    assert_no_child_process()
+    assert main(argv + ["--times", "0,0.9", "--out",
+                        str(tmp_path / "c")]) == 0
+    assert_no_child_process()
+
+
+def test_writer_that_fails_without_an_os_error_exits_4(tmp_path, capsys,
+                                                     monkeypatch):
+    def broken(path, field):
+        raise ValueError("not an I/O error")
+
+    # the forked writer inherits the patched function
+    monkeypatch.setattr(output, "write_fields_csv", broken)
+    sc = write_scenario(tmp_path)
+    assert main(["simulate", "--scenario", str(sc), "--model", "macro1",
+                 "--out", str(tmp_path / "run")]) == 4
+    assert capsys.readouterr().err == (
+        "I/O error: the snapshot writer exited with status 1\n")
+    assert_no_child_process()
+
+
 @pytest.mark.parametrize("key, value", [
     ("n_samples", 10**6 + 1), ("pce_nodes", 1e300), ("pce_order", 100)])
 def test_uq_counts_over_their_bound_exit_2_naming_the_key(tmp_path, capsys,

@@ -20,16 +20,19 @@ about four times through an accident, with relaxation on
 (`simulate_particle_laps`), `compare` on the accident, ramp and constant
 capacities at a = 0 and 1,
 one run per model that exits 3 (and a Galerkin step, a convergence
-study and a macro2 snapshot with a negative headway that do), runs that
+study and a macro2 snapshot with a negative headway that do), a
+`simulate` and a `compare` whose snapshot path in the middle of the run
+is an existing directory, so that its write fails (exit 4), runs that
 exit 2 (the particle dt bound, in `simulate` and after macro2 in
 `compare`; the CFL bound after the particle model in `compare`; the
 Euler bound in `uq pce --model micro`; a uniform law given an alpha),
 and `analyze eigen`, `analyze curves` for families 1 to 3 and `analyze
 rh`, which take no scenario. In stderr the output root and the checkout
 of each side are replaced by <root> and <checkout>, so that the two
-sides can be compared. Prints one line per command; exits 1 if a command
-differs in exit code or files, or in stderr while it exits 0 on both
-sides.
+sides can be compared. A command that has not ended after TIMEOUT_S
+seconds is killed with its process group and reported with the exit code
+"timeout". Prints one line per command; exits 1 if a command differs in
+exit code or files, or in stderr while it exits 0 on both sides.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import argparse
 import copy
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +58,10 @@ CAPACITIES = {
              "x_right": 2.0, "delta": 0.1},
     "constant": {"variant": "constant", "c0": 0.8},
 }
+TIMEOUT_S = 120  # every command ends within seconds
+# snapshot paths made as directories before the command runs
+BLOCKED = {"exit4_simulate_write": "fields_t0.5.csv",
+           "exit4_compare_write": "fields_micro_t0.csv"}
 SIMULATE = {
     "domain": {"xmin": -4.0, "xmax": 4.0, "dx": 0.02},
     "params": {"gamma": 0.5, "eta": 0.01, "epsilon": 0.001, "a": 1.0,
@@ -184,6 +192,9 @@ def commands(change: Path) -> list:
                   params={"gamma": 1.0, "a": 1.0, "epsilon": 1.0,
                           "eta": 0.25, "dt": 1.0, "T": 2.0}),
          ["simulate", "--model", "particle"]),
+        ("exit4_simulate_write", SIMULATE, ["simulate", "--model", "macro2"]),
+        ("exit4_compare_write", SIMULATE,
+         ["compare", "--models", "macro1,macro2,micro,particle"]),
         ("exit2_particle_dt", _variant(SIMULATE, params={"epsilon": 1000.0}),
          ["simulate", "--model", "particle"]),
         ("exit2_compare_particle_dt",
@@ -216,24 +227,35 @@ def commands(change: Path) -> list:
 def run(checkout: Path, root: Path, name: str, scenario: Path | None,
         argv: list) -> dict:
     out = root / name
+    if name in BLOCKED:
+        (out / BLOCKED[name]).mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     if scenario is not None:
         argv = [*argv, "--scenario", str(scenario)]
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "trafficflow.cli", *argv, "--out", str(out)],
-        cwd=root, env=env, capture_output=True)
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True)
+    try:
+        stderr = proc.communicate(timeout=TIMEOUT_S)[1]
+        code = proc.returncode
+    except subprocess.TimeoutExpired:
+        # the group holds any process the command started
+        os.killpg(proc.pid, signal.SIGKILL)
+        stderr = proc.communicate()[1]
+        code = "timeout"
     files = {}
     if out.exists():
         files = {str(p.relative_to(out)): p.read_bytes()
                  for p in sorted(out.rglob("*")) if p.is_file()}
-    stderr = proc.stderr.replace(str(root).encode(), b"<root>").replace(
+    stderr = stderr.replace(str(root).encode(), b"<root>").replace(
         str(checkout).encode(), b"<checkout>")
-    return {"code": proc.returncode, "stderr": stderr, "files": files}
+    return {"code": code, "stderr": stderr, "files": files}
 
 
 def compare(a: dict, b: dict) -> list:
     diffs = []
-    if a["code"] != b["code"]:
+    if a["code"] != b["code"] or "timeout" in (a["code"], b["code"]):
         diffs.append(f"exit {a['code']} vs {b['code']}")
     if a["stderr"] != b["stderr"]:
         diffs.append("stderr")
