@@ -2,10 +2,11 @@
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 I/O error.
 Every run is reproducible from (scenario file, seed). `--threads` sets the
-number of threads that run the Monte Carlo chunks of `uq mc` and
-`uq convergence` (0, the default, means every CPU); their outputs are
-byte-identical whatever its value. The other commands exit 2 if it is
-given.
+number of workers that run the Monte Carlo chunks of `uq mc` and
+`uq convergence`: the command's own process and forked ones (0, the
+default, means every CPU). Their outputs are byte-identical whatever its
+value; the Galerkin study of `uq convergence` runs in the command's
+process alone. The other commands exit 2 if it is given.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
     MacroField,
     ModelParams,
     NumericalError,
+    _fork,
     _short_repr,
     _snap_times,
     micro_speed_Vtilde,
@@ -200,18 +202,13 @@ class _SnapshotWriter:
             return self
         data_r, data_w = os.pipe()
         self.report, report_w = os.pipe()
-        sys.stdout.flush()
-        sys.stderr.flush()
-        self.pid = os.fork()
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(data_w)
-                os.close(self.report)
-                self._write(data_r, report_w)
-                code = 0
-            finally:
-                os._exit(code)
+
+        def writer():
+            os.close(data_w)
+            os.close(self.report)
+            self._write(data_r, report_w)
+
+        self.pid = _fork(writer)
         os.close(data_r)
         os.close(report_w)
         self.pipe = open(data_w, "wb")
@@ -455,10 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=None,
-                       help="Monte Carlo threads of 'uq mc' and 'uq "
-                            "convergence' (0, the default: every CPU); "
-                            "outputs are byte-identical whatever the "
-                            "value; other commands exit 2 if it is given")
+                       help="Monte Carlo workers of 'uq mc' and 'uq "
+                            "convergence', this process and forked ones "
+                            "(0, the default: every CPU); outputs are "
+                            "byte-identical whatever the value; other "
+                            "commands exit 2 if it is given")
         p.add_argument("--accident-size", type=float, default=None,
                        help="fixed accident half-width Y for deterministic "
                             "runs with the accident capacity")

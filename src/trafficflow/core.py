@@ -7,6 +7,8 @@ across threads.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -29,9 +31,32 @@ class CFLViolationError(ConfigError):
     """Time step too large for the spatial grid."""
 
     def __init__(self, ratio: float, dt: float, dx: float):
-        self.ratio = ratio
+        self.ratio, self.dt, self.dx = ratio, dt, dx
         super().__init__(f"CFL condition violated: ratio {ratio:.6g} > 1 "
                          f"for params.dt = {dt!r} and domain.dx = {dx!r}")
+
+    def __reduce__(self):
+        # rebuilt from its own arguments, not from the message, so that it
+        # survives the pickle that brings it back from a forked worker
+        return type(self), (self.ratio, self.dt, self.dx)
+
+
+def _fork(child) -> int:
+    """Fork a process that runs child() and leaves through os._exit: with
+    status 0 if child returns, 1 if it raises (silently; the caller reads
+    the status). stdout and stderr are flushed first, so that text buffered
+    before the fork is not written by both processes. Returns the pid."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            child()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
 
 
 # ---------------------------------------------------------------------------

@@ -88,12 +88,6 @@ def write_fields_csv(path, field: MacroField) -> None:
                 field.grid)
 
 
-def read_fields_csv(path, grid: Grid1D) -> MacroField:
-    rows = Path(path).read_text().strip().splitlines()
-    data = np.array([[float(v) for v in line.split(",")] for line in rows[1:]])
-    return MacroField(rho=data[:, 1], h=data[:, 2], grid=grid)
-
-
 def write_stats_csv(path, stats: StatSummary) -> None:
     _write_rows(Path(path),
                 ["x", "rho_mean", "rho_median", "rho_q05", "rho_q95",

@@ -10,7 +10,7 @@ microscopic ODE model.
 from __future__ import annotations
 
 import os
-import threading
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +21,7 @@ from .core import (
     Grid1D,
     MacroField,
     ModelParams,
+    _fork,
     headway_H,
     integrate,
     micro_speed_Vtilde,
@@ -383,7 +384,7 @@ def sample_accident_sizes(cfg: UQConfig, n_samples: int,
 
 
 def pool_size(threads: int, n_chunks: int) -> int:
-    """Threads that map_chunks runs on, the calling thread included:
+    """Workers that map_chunks runs on, the calling process included:
     min(threads, n_chunks, CPUs this process may run on), where threads = 0
     means all of those CPUs."""
     try:
@@ -395,44 +396,93 @@ def pool_size(threads: int, n_chunks: int) -> int:
 
 def map_chunks(fn, n_chunks: int, threads: int = 0) -> list:
     """[fn(0), ..., fn(n_chunks - 1)], computed on pool_size(threads,
-    n_chunks) threads.
+    n_chunks) workers: the calling process and size - 1 forked ones.
 
-    The calling thread works too: it and size - 1 started threads take the
-    next chunk index from a shared counter, so a pool of size 1 is the
-    plain loop and starts no thread. Once a chunk raises, no further chunk
-    is handed out; after every thread has finished, the exception of the
-    lowest-numbered failed chunk is raised. Chunks are handed out in order,
-    so that is the exception a serial loop would have raised.
+    The workers take chunk indices in order from a pipe that holds one
+    8-byte record, the next index, so the pipe is the counter and its lock
+    in one. Once a chunk raises, its worker puts back n_chunks, the stop
+    mark, and no further chunk is handed out. A forked worker sends its
+    results and its failure as one pickle when it stops, and stops early if
+    the caller is gone; fn's results and exceptions must pickle. After
+    every worker has been waited for, the exception of the lowest-numbered
+    failed chunk, the one a serial loop would raise, is raised; a worker
+    that ended without its report raises ChildProcessError. A pool of size
+    1, or a platform without os.fork, runs the plain loop.
     """
     size = pool_size(threads, n_chunks)
-    results = [None] * n_chunks
-    failed = {}
-    lock = threading.Lock()
-    counter = iter(range(n_chunks))
+    if size == 1 or not hasattr(os, "fork"):
+        return [fn(i) for i in range(n_chunks)]
+    counter_r, counter_w = os.pipe()
+    os.write(counter_w, (0).to_bytes(8, "little"))
+    caller = os.getpid()
 
-    def work():
-        while True:
-            with lock:
-                i = None if failed else next(counter, None)
-            if i is None:
+    def take(stop=False) -> int:
+        i = int.from_bytes(os.read(counter_r, 8), "little")
+        try:
+            return i
+        finally:  # an interrupt here must not lose the record
+            os.write(counter_w, (n_chunks if stop else min(i + 1, n_chunks))
+                     .to_bytes(8, "little"))
+
+    def work(done, failed):
+        # the caller, or a worker whose caller is still running
+        while caller in (os.getpid(), os.getppid()):
+            i = take()
+            if i == n_chunks:
                 return
             try:
-                results[i] = fn(i)
-            except BaseException as exc:  # raised below, after the joins
-                with lock:
-                    failed[i] = exc
+                done.append((i, fn(i)))
+            except BaseException as exc:  # raised by the caller, at the end
+                failed[i] = exc
+                take(stop=True)
                 return
 
-    workers = [threading.Thread(target=work) for _ in range(size - 1)]
-    for w in workers:
-        w.start()
+    def worker(report_r, report_w):
+        # a worker holds no read end, so a report that the caller will
+        # never read (it is gone) fails instead of blocking
+        for fd in [report_r] + [r for _, r in workers]:
+            os.close(fd)
+        done, failed = [], {}
+        work(done, failed)
+        # one report at the end: a per-chunk write could fill the pipe and
+        # stall the worker while the caller computes
+        with open(report_w, "wb") as pipe:
+            pickle.dump((done, failed), pipe, pickle.HIGHEST_PROTOCOL)
+
+    done, failed, workers = [], {}, []
     try:
-        work()
+        for _ in range(size - 1):
+            report_r, report_w = os.pipe()
+            try:
+                workers.append((_fork(lambda: worker(report_r, report_w)),
+                                report_r))
+            except BaseException:
+                os.close(report_r)
+                raise
+            finally:  # before the next fork, so no other worker holds it
+                os.close(report_w)
+        work(done, failed)
     finally:
-        for w in workers:
-            w.join()
+        reports = []
+        for pid, report_r in workers:
+            with open(report_r, "rb") as pipe:
+                report = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reports.append((status, report))
+        os.close(counter_r)
+        os.close(counter_w)
+    for status, report in reports:
+        if status:
+            raise ChildProcessError(f"Monte Carlo worker exited with status "
+                                    f"{status}")
+        more_done, more_failed = pickle.loads(report)
+        done += more_done
+        failed.update(more_failed)
     if failed:
         raise failed[min(failed)]
+    results = [None] * n_chunks
+    for i, result in done:
+        results[i] = result
     return results
 
 
@@ -456,9 +506,11 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
     interact; speed_law is the follow-the-leader law of the micro model.
 
     The chunks run on map_chunks's pool of min(threads, chunks, CPUs)
-    threads, the calling thread among them (threads = 0: every CPU), and
-    are put together in chunk order, so the statistics are bit-identical
-    whatever the thread count."""
+    workers, the calling process and forked ones (threads = 0: every CPU),
+    and are put together in chunk order, so the statistics are
+    bit-identical whatever the worker count. A chunk's runs are
+    elementwise per row and make no BLAS call, so no lock that a BLAS
+    thread holds at the fork is taken in a worker."""
     if model not in ("micro", "macro2"):
         raise ConfigError("monte_carlo supports the micro and macro2 models")
     if scenario.uq is None:
@@ -496,7 +548,7 @@ def monte_carlo(scenario: Scenario, model: str, n_samples: int,
                                    out_times=(T,), speed_law=speed_law)[T]
 
     # Rows evolve in chunks of at most 64, and fewer per chunk on a larger
-    # pool, so that the rows alive at once (one chunk per thread) stay
+    # pool, so that the rows stepped at once (one chunk per worker) stay
     # about 128 whatever the CPU count. A chunk is not cache-resident: 64
     # macro2 rows of 2000 cells touch about 8 MiB, against 2 MiB of L2 per
     # core on a 2-core x86 machine, yet 8-, 16- and 32-row chunks made both
@@ -552,7 +604,8 @@ def pce_convergence_study(scenario: Scenario, model: str,
     Each run uses the highest expansion order the quadrature resolves
     (K = n - 1); a truncation held fixed while n grows would stall at its
     truncation bias instead of converging to the Monte Carlo mean. speed_law
-    is the follow-the-leader law of the micro model.
+    is the follow-the-leader law of the micro model. The study runs in the
+    calling process alone.
     """
     T = scenario.params.T
     fields = run_pce(scenario, model, [(n, n - 1) for n in n_list],

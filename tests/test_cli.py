@@ -14,10 +14,10 @@ import pytest
 import trafficflow
 from trafficflow import output
 from trafficflow.cli import ENTRY_CHECKS, main, run_model
-from trafficflow.core import ConfigError, Grid1D
+from trafficflow.core import ConfigError, Grid1D, MacroField
 from trafficflow.macro import total_mass
-from trafficflow.output import (fields_filename, read_fields_csv,
-                                write_fields_csv, write_metadata)
+from trafficflow.output import (fields_filename, write_fields_csv,
+                                write_metadata)
 from trafficflow.scenario import KNOWN_MODELS, load_scenario
 
 
@@ -45,6 +45,14 @@ def write_scenario(tmp_path, **overrides):
 def read_csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def read_fields_csv(path, grid):
+    """The field of a snapshot file; its numbers are reprs, so the floats
+    read back are the ones written."""
+    rows = read_csv_rows(path)
+    return MacroField(rho=np.array([float(r["rho"]) for r in rows]),
+                      h=np.array([float(r["h"]) for r in rows]), grid=grid)
 
 
 def test_simulate_macro2_writes_fields_and_metadata(tmp_path):

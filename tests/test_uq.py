@@ -1,6 +1,8 @@
 """Accident-size sampling, quadrature, polynomial chaos and Monte Carlo."""
 
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -12,6 +14,7 @@ import pytest
 
 from trafficflow.core import (
     AccidentCapacity,
+    CFLViolationError,
     ConfigError,
     ConstantCapacity,
     Grid1D,
@@ -411,7 +414,7 @@ def test_monte_carlo_rejects_negative_threads():
 # ---------------------------------------------------------------------------
 
 def test_pool_size_is_clamped_to_chunks_and_cpus():
-    # the clamp alone: no thread is started here
+    # the clamp alone: no worker is forked here
     cpus = pool_size(0, 10**9)
     assert 1 <= cpus <= (os.cpu_count() or 1)
     for n_chunks in (1, 2, 3, 64, 10**6):
@@ -423,18 +426,19 @@ def test_pool_size_is_clamped_to_chunks_and_cpus():
 
 
 def test_pool_of_one_starts_no_thread(monkeypatch):
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a pool of size 1 started a thread")
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a pool of size 1 forked a worker")
 
-    monkeypatch.setattr(uq.threading, "Thread", no_thread)
+    monkeypatch.setattr(uq.os, "fork", no_fork)
     assert map_chunks(lambda i: i * i, 5, threads=1) == [0, 1, 4, 9, 16]
     assert map_chunks(lambda i: -i, 1, threads=0) == [0]
 
 
 def test_monte_carlo_rows_alive_do_not_grow_with_the_pool(monkeypatch):
-    # pool_size reports k CPUs (k - 1 threads are started, at most 7); the
+    # pool_size reports k CPUs (k - 1 workers are forked, at most 7); the
     # chunks shrink as the pool grows, so the rows stepped at once, and
-    # with them the peak of numpy's allocations, stay about fixed
+    # with them the peak of the caller's numpy allocations, stay about
+    # fixed
     sc = accident_scenario(dx=0.5, dt=8e-3, N=1000, T=4e-2)
     peaks = {}
     for k in (2, 8):
@@ -459,14 +463,35 @@ def test_map_chunks_keeps_chunk_order():
         assert map_chunks(slow_first, 9, threads) == list(range(9))
 
 
-def test_map_chunks_hands_out_each_chunk_once_under_contention(monkeypatch):
-    # more threads than CPUs and a short switch interval: a lost update of
-    # the shared chunk counter would run a chunk twice or skip one
+def chunk_log(path):
+    """(record, ran): record(i) appends chunk index i to the file at path,
+    opened with O_APPEND, so that the calling process and every forked
+    worker add whole lines to one log; ran() reads it back in the order
+    the lines were written."""
+    def record(i):
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, b"%d\n" % i)
+        finally:
+            os.close(fd)
+
+    def ran():
+        return ([int(v) for v in path.read_text().split()]
+                if path.exists() else [])
+    return record, ran
+
+
+def test_map_chunks_hands_out_each_chunk_once_under_contention(monkeypatch,
+                                                                tmp_path):
+    # more workers than CPUs, and a caller on a thread with a short switch
+    # interval: a lost update of the chunk counter would run a chunk twice
+    # or skip one
     monkeypatch.setattr(uq, "pool_size", lambda threads, n_chunks: 8)
-    ran, got = [], []
+    record, ran_log = chunk_log(tmp_path / "ran")
+    got = []
 
     def fn(i):
-        ran.append(i)
+        record(i)
         return -i
 
     interval = sys.getswitchinterval()
@@ -479,17 +504,18 @@ def test_map_chunks_hands_out_each_chunk_once_under_contention(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not t.is_alive()
+    ran = ran_log()
     assert got == [[-i for i in range(2000)]]
     assert sorted(ran) == list(range(2000))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_map_chunks_raises_the_lowest_failed_chunk(threads):
-    # on two threads chunk 3 fails first, while chunk 1 is still running
-    ran = []
+def test_map_chunks_raises_the_lowest_failed_chunk(threads, tmp_path):
+    # on two workers chunk 3 fails first, while chunk 1 is still running
+    record, ran_log = chunk_log(tmp_path / "ran")
 
     def fn(i):
-        ran.append(i)
+        record(i)
         if i == 1:
             time.sleep(0.05)
         if i in (1, 3):
@@ -498,18 +524,19 @@ def test_map_chunks_raises_the_lowest_failed_chunk(threads):
 
     with pytest.raises(NumericalError, match="chunk 1 failed"):
         map_chunks(fn, 8, threads)
+    ran = ran_log()
     assert set(ran) <= {0, 1, 2, 3}
     if threads == 1:
         assert ran == [0, 1]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_map_chunks_hands_out_no_chunk_after_a_failure(threads):
-    # chunk 1 fails while chunk 0 still runs on the other thread
-    ran = []
+def test_map_chunks_hands_out_no_chunk_after_a_failure(threads, tmp_path):
+    # chunk 1 fails while chunk 0 still runs on the other worker
+    record, ran_log = chunk_log(tmp_path / "ran")
 
     def fn(i):
-        ran.append(i)
+        record(i)
         if i == 0:
             time.sleep(0.05)
         if i == 1:
@@ -518,7 +545,125 @@ def test_map_chunks_hands_out_no_chunk_after_a_failure(threads):
 
     with pytest.raises(NumericalError, match="chunk 1 failed"):
         map_chunks(fn, 8, threads)
+    ran = ran_log()
     assert sorted(ran) == [0, 1]
+
+
+def test_map_chunks_leaves_no_child_process(monkeypatch):
+    # every forked worker has been waited for, after a success and after a
+    # failure
+    monkeypatch.setattr(uq, "pool_size",
+                        lambda threads, n_chunks: min(2, n_chunks))
+
+    def fn(i):
+        if i == 5:
+            raise NumericalError("chunk 5 failed")
+        return i
+
+    assert map_chunks(fn, 5) == list(range(5))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with pytest.raises(NumericalError, match="chunk 5 failed"):
+        map_chunks(fn, 8)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a worker that dies in a chunk, or whose result does not pickle, sends no
+# report; chunk 0 sleeps, so that the worker takes a chunk meanwhile
+UNREPORTED_WORKER = """
+import os, sys, time
+from trafficflow import uq
+uq.pool_size = lambda threads, n_chunks: 2
+caller = os.getpid()
+
+def fn(i):
+    if i == 0:
+        time.sleep(0.5)
+    if os.getpid() == caller:
+        return i
+    if sys.argv[1] == "exit":
+        os._exit(7)
+    return lambda: i
+
+try:
+    uq.map_chunks(fn, 8)
+except ChildProcessError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("mode, status", [("exit", 7), ("unpicklable", 1)])
+def test_a_worker_without_a_report_raises_child_process_error(mode, status):
+    # run as its own process with a timeout, so that a pool that waits for
+    # the lost report fails the test instead of hanging it; a worker left
+    # running would hold the output pipe open until the timeout too
+    src = os.path.dirname(os.path.dirname(uq.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", UNREPORTED_WORKER, mode],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"Monte Carlo worker exited with status {status}\n"
+
+
+# the caller is killed in its first chunk, while the worker runs chunks
+# whose report would not fit in a pipe's buffer
+ORPHANED_WORKER = """
+import os, signal, sys, time
+from trafficflow import uq
+uq.pool_size = lambda threads, n_chunks: 2
+caller = os.getpid()
+
+def fn(i):
+    if os.getpid() == caller:
+        time.sleep(0.2)
+        os.kill(caller, signal.SIGKILL)
+    with open(sys.argv[1], "a") as log:
+        log.write(f"{os.getpid()}\\n")
+    time.sleep(0.05)
+    return bytes(100_000)
+
+uq.map_chunks(fn, 400)
+"""
+
+
+def test_a_worker_whose_caller_is_killed_stops(tmp_path):
+    # the worker checks for its caller before each chunk, so it runs a few
+    # of the 400 chunks, and its report fails instead of blocking; until it
+    # exits it holds the output pipes, which run() reads to the end
+    log = tmp_path / "log"
+    src = os.path.dirname(os.path.dirname(uq.__file__))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", ORPHANED_WORKER, str(log)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            timeout=60)
+    except subprocess.TimeoutExpired:
+        for pid in set(log.read_text().split()):  # the worker left running
+            os.kill(int(pid), signal.SIGKILL)
+        raise
+    assert proc.returncode == -signal.SIGKILL
+    assert 1 <= len(log.read_text().split()) < 20
+
+
+def test_a_worker_exception_keeps_its_type_and_attributes(monkeypatch):
+    # the worker's chunks fail the CFL check, the caller's sleep meanwhile;
+    # the CFLViolationError comes back through a pickle, which rebuilds it
+    # from its own arguments
+    monkeypatch.setattr(uq, "pool_size", lambda threads, n_chunks: 2)
+    caller = os.getpid()
+
+    def fn(i):
+        if os.getpid() == caller:
+            time.sleep(0.2)
+            return i
+        macro.cfl_check(ModelParams(dt=2e-3), ConstantCapacity(1.0),
+                        Grid1D(-4.0, 4.0, 1e-3))
+
+    with pytest.raises(CFLViolationError, match="CFL condition") as err:
+        map_chunks(fn, 8)
+    assert err.value.ratio == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ about four times through an accident, with relaxation on
 (`simulate_particle_laps`), `compare` on the accident, ramp and constant
 capacities at a = 0 and 1,
 one run per model that exits 3 (and a Galerkin step, a convergence
-study and a macro2 snapshot with a negative headway that do), a
+study and a macro2 snapshot with a negative headway that do), a `uq mc`
+for macro2 and for micro at --threads 7 whose samples fail in several
+Monte Carlo chunks (exit 3), and one whose chunks all fail the CFL bound
+(exit 2), a
 `simulate` and a `compare` whose snapshot path in the middle of the run
 is an existing directory, so that its write fails (exit 4), runs that
 exit 2 (the particle dt bound, in `simulate` and after macro2 in
@@ -171,6 +174,23 @@ def commands(change: Path) -> list:
         ("exit3_convergence_macro2", _variant(ACCIDENT, initial=drained),
          ["uq", "convergence", "--model", "macro2", "--samples", "1",
           "--seed", "0"]),
+        # Monte Carlo failures in more than one chunk, each naming its own
+        # row, cell or vehicle: the pool must raise the first chunk's, as a
+        # serial loop does. The macro2 accident's exit drains the road from
+        # x = 2.2 on in both of its chunks; the micro accident's deep drop
+        # makes followers overrun their leaders in all eight
+        ("exit3_mc_macro2_threads7",
+         _variant(ACCIDENT, initial=dict(drained, rho=[
+             {"x_lt": 2.2, "value": 0.15}, {"x_lt": 4.0, "value": 1.5e-12}])),
+         ["uq", "mc", "--model", "macro2", "--samples", "512", "--seed",
+          "0", "--threads", "7"]),
+        ("exit3_mc_micro_threads7",
+         _variant(ACCIDENT, capacity={"variant": "accident", "drop": 0.9}),
+         ["uq", "mc", "--model", "micro", "--samples", "512", "--seed", "2",
+          "--threads", "7"]),
+        ("exit2_mc_cfl_threads7", _variant(ACCIDENT, params={"dt": 0.032}),
+         ["uq", "mc", "--model", "macro2", "--samples", "512", "--threads",
+          "7"]),
         ("exit3_macro2_headway", {
             "domain": {"xmin": -1.0, "xmax": 1.0, "dx": 0.01},
             "params": {"gamma": 1.0, "eta": 1.0, "epsilon": 1.0, "a": 0.0,
