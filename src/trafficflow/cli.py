@@ -28,6 +28,7 @@ from .core import (
     ModelParams,
     NumericalError,
     _fork,
+    _join,
     _short_repr,
     _snap_times,
     micro_speed_Vtilde,
@@ -156,17 +157,16 @@ class _SnapshotWriter:
     fields all live on grid, from one forked writer process, so that their
     CSV text is formatted while the models step.
 
-    `with writer:` forks it; enter after every model's entry check and
-    before the first step. These commands start no thread, and the writer
-    makes no BLAS call, so no lock held at the fork is taken in the
-    writer. The command's snapshots then go over one pipe,
-    each as its file name and a line feed, then the raw float64 bytes of
-    rho and h; the writer rebuilds the field and calls
-    output.write_fields_csv, so every byte is the one an in-process write
-    gives. At its first OSError the writer stops and sends back (errno,
-    strerror, filename); leaving the block closes the pipe, waits for the
-    writer and raises that error as an OSError, over any error of the
-    models. Where os.fork does not exist, each snapshot is written
+    `with writer:` forks it (core._fork); enter after every model's entry
+    check and before the first step. These commands start no thread, and
+    the writer makes no BLAS call, so no lock held at the fork is taken in
+    the writer. The command's snapshots then go over one pipe, each as its
+    file name and a line feed, then the raw float64 bytes of rho and h;
+    the writer rebuilds the field and calls output.write_fields_csv, so
+    every byte is the one an in-process write gives. At its first OSError
+    the writer stops and returns it; leaving the block closes the pipe,
+    joins the writer (core._join) and raises that error, over any error of
+    the models. Where os.fork does not exist, each snapshot is written
     in-process."""
 
     def __init__(self, out_dir: Path, grid):
@@ -201,22 +201,16 @@ class _SnapshotWriter:
         if not hasattr(os, "fork"):
             return self
         data_r, data_w = os.pipe()
-        self.report, report_w = os.pipe()
-
-        def writer():
-            os.close(data_w)
-            os.close(self.report)
-            self._write(data_r, report_w)
-
-        self.pid = _fork(writer)
+        self.writer = _fork(lambda: self._write(data_r, data_w))
         os.close(data_r)
-        os.close(report_w)
         self.pipe = open(data_w, "wb")
         return self
 
-    def _write(self, data_r, report_w):
-        """The writer process: write each snapshot read from data_r until
-        EOF, or until the first OSError, which it sends to report_w."""
+    def _write(self, data_r, data_w):
+        """The writer process: close data_w, then write each snapshot read
+        from data_r until EOF; returns None, or the first OSError, at which
+        it stops."""
+        os.close(data_w)
         size = 16 * self.grid.n_cells
         with open(data_r, "rb") as pipe:
             try:
@@ -226,8 +220,7 @@ class _SnapshotWriter:
                         self.out_dir / name[:-1].decode(),
                         MacroField(rho, h, self.grid))
             except OSError as exc:
-                os.write(report_w, json.dumps(
-                    [exc.errno, exc.strerror, exc.filename]).encode())
+                return exc
 
     def __exit__(self, exc_type, exc, tb):
         if self.pipe is None:
@@ -235,16 +228,17 @@ class _SnapshotWriter:
         try:
             self.pipe.close()
         except BrokenPipeError:
-            pass  # the writer stopped at a failure, which it reported
+            pass  # the writer stopped at a failure, which it returns
         self.pipe = None
-        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        with open(self.report, "rb") as pipe:
-            report = pipe.read()
-        if report:
-            raise OSError(*json.loads(report))
-        if status and (exc is None or isinstance(exc, Exception)):
+        try:
+            error = _join(self.writer, "the snapshot writer")
+        except ChildProcessError:
             # a writer that died without a report; an interrupt passes
-            raise OSError(f"the snapshot writer exited with status {status}")
+            if exc is None or isinstance(exc, Exception):
+                raise
+            return
+        if error is not None:
+            raise error
 
 
 def _mass_drift(first: MacroField, last: MacroField, grid) -> float:

@@ -8,6 +8,7 @@ across threads.
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -41,22 +42,53 @@ class CFLViolationError(ConfigError):
         return type(self), (self.ratio, self.dt, self.dx)
 
 
-def _fork(child) -> int:
-    """Fork a process that runs child() and leaves through os._exit: with
-    status 0 if child returns, 1 if it raises (silently; the caller reads
-    the status). stdout and stderr are flushed first, so that text buffered
-    before the fork is not written by both processes. Returns the pid."""
+_reports = set()  # report read ends not yet joined; a later child closes them
+
+
+def _fork(child):
+    """Fork a process that runs child(), sends its result back as one
+    pickle and leaves through os._exit: with status 0, or 1 if child raises
+    or its result does not pickle (then _join decodes nothing). stdout and
+    stderr are flushed first, so that text buffered before the fork is not
+    written by both processes. The child holds no report's read end, so a
+    report that nobody will read fails instead of blocking. Returns the
+    handle that _join takes."""
     sys.stdout.flush()
     sys.stderr.flush()
-    pid = os.fork()
+    report_r, report_w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(report_r)
+        os.close(report_w)
+        raise
     if pid == 0:
         code = 1
         try:
-            child()
+            for fd in _reports | {report_r}:
+                os.close(fd)
+            with open(report_w, "wb") as pipe:
+                pickle.dump(child(), pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
-    return pid
+    os.close(report_w)  # before the next fork, so no other child holds it
+    _reports.add(report_r)
+    return pid, report_r
+
+
+def _join(handle, name: str):
+    """Read the report of the child of _fork's handle to its end, wait for
+    the child and return what child() returned; ChildProcessError("<name>
+    exited with status N") if the status N is not 0."""
+    pid, report_r = handle
+    _reports.discard(report_r)
+    with open(report_r, "rb") as pipe:
+        report = pipe.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise ChildProcessError(f"{name} exited with status {status}")
+    return pickle.loads(report)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +445,13 @@ class PiecewiseRampCapacity:
                               f"interval: x_right - x_left must exceed "
                               f"2 * delta")
 
+    @property
+    def breakpoints(self):
+        """(xp, fp): the capacity is np.interp(x, xp, fp)."""
+        return ([self.x_left - self.delta, self.x_left + self.delta,
+                 self.x_right - self.delta, self.x_right + self.delta],
+                [1.0, self.c_low, self.c_low, 1.0])
+
 
 @dataclass(frozen=True)
 class AccidentCapacity:
@@ -440,20 +479,7 @@ def capacity_eval(spec: CapacitySpec, x, y=None):
     if isinstance(spec, ConstantCapacity):
         return np.full(shape, spec.c0)
     if isinstance(spec, PiecewiseRampCapacity):
-        xp = [spec.x_left - spec.delta, spec.x_left + spec.delta,
-              spec.x_right - spec.delta, spec.x_right + spec.delta]
-        fp = [1.0, spec.c_low, spec.c_low, 1.0]
-        # np.interp gives exactly 1.0 beyond the end points and 0 * (x - xp1)
-        # + c_low = c_low + 0.0 strictly inside the flat part; it runs only
-        # on the ramps, the breakpoints themselves and NaN
-        known = x > xp[1]
-        known &= x < xp[2]
-        c = np.where(known, spec.c_low + 0.0, 1.0)
-        known |= x < xp[0]
-        known |= x > xp[3]
-        todo = np.flatnonzero(~known)
-        c.reshape(-1)[todo] = np.interp(x.reshape(-1)[todo], xp, fp)
-        return np.broadcast_to(c, shape)
+        return np.broadcast_to(np.interp(x, *spec.breakpoints), shape)
     if isinstance(spec, AccidentCapacity):
         if y is None:
             raise ConfigError("accident capacity requires the half-width y")
@@ -474,13 +500,11 @@ def _capacity_eval_sorted(spec: CapacitySpec, xs: np.ndarray, y, out):
           or (xs.size and np.isnan(xs[-1]))):
         out[...] = capacity_eval(spec, xs, y)
     else:
-        xp = [spec.x_left - spec.delta, spec.x_left + spec.delta,
-              spec.x_right - spec.delta, spec.x_right + spec.delta]
-        fp = [1.0, spec.c_low, spec.c_low, 1.0]
+        xp, fp = spec.breakpoints
         i0, i2 = np.searchsorted(xs, xp[::2], side="left")
         i1, i3 = np.searchsorted(xs, xp[1::2], side="right")
-        # as in capacity_eval: c_low strictly inside the flat part, 1.0
-        # strictly outside the ramps, np.interp on the ramps and the
+        # np.interp gives exactly 1.0 beyond the end points and c_low + 0.0
+        # strictly inside the flat part; it runs on the ramps and the
         # breakpoints (the ramps overlap only if rounding makes xp1 >= xp2)
         out.fill(1.0)
         out[i1:i2] = spec.c_low + 0.0

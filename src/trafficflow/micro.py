@@ -99,11 +99,10 @@ def euler_dt_check(params: ModelParams, capacity: CapacitySpec,
             f"which the check of each step reports")
 
 
-def check_ordering(gaps: np.ndarray, what: str = "vehicle ordering lost",
-                   row="row"):
+def check_ordering(gaps: np.ndarray, row="row"):
     """The micro model's check (see core.integrate): every gap positive,
     else an OrderingViolationError naming the row and vehicle."""
-    return first_invalid(gaps > 0, what, "vehicle", row,
+    return first_invalid(gaps > 0, "vehicle ordering lost", "vehicle", row,
                          OrderingViolationError)
 
 

@@ -10,7 +10,6 @@ microscopic ODE model.
 from __future__ import annotations
 
 import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .core import (
     MacroField,
     ModelParams,
     _fork,
+    _join,
     headway_H,
     integrate,
     micro_speed_Vtilde,
@@ -401,13 +401,13 @@ def map_chunks(fn, n_chunks: int, threads: int = 0) -> list:
     The workers take chunk indices in order from a pipe that holds one
     8-byte record, the next index, so the pipe is the counter and its lock
     in one. Once a chunk raises, its worker puts back n_chunks, the stop
-    mark, and no further chunk is handed out. A forked worker sends its
-    results and its failure as one pickle when it stops, and stops early if
-    the caller is gone; fn's results and exceptions must pickle. After
-    every worker has been waited for, the exception of the lowest-numbered
-    failed chunk, the one a serial loop would raise, is raised; a worker
-    that ended without its report raises ChildProcessError. A pool of size
-    1, or a platform without os.fork, runs the plain loop.
+    mark, and no further chunk is handed out. A forked worker stops early
+    if the caller is gone, and returns its results and its failure, which
+    must pickle, when it stops. After every worker has been joined
+    (core._join), the exception of the lowest-numbered failed chunk, the
+    one a serial loop would raise, is raised; a worker that ended without
+    its report raises ChildProcessError. A pool of size 1, or a platform
+    without os.fork, runs the plain loop.
     """
     size = pool_size(threads, n_chunks)
     if size == 1 or not hasattr(os, "fork"):
@@ -425,59 +425,36 @@ def map_chunks(fn, n_chunks: int, threads: int = 0) -> list:
                      .to_bytes(8, "little"))
 
     def work(done, failed):
-        # the caller, or a worker whose caller is still running
+        # the caller, or a worker whose caller is still running; a worker
+        # reports once, at the end: a per-chunk write could fill the pipe
+        # and stall the worker while the caller computes
         while caller in (os.getpid(), os.getppid()):
             i = take()
             if i == n_chunks:
-                return
+                break
             try:
                 done.append((i, fn(i)))
             except BaseException as exc:  # raised by the caller, at the end
                 failed[i] = exc
                 take(stop=True)
-                return
-
-    def worker(report_r, report_w):
-        # a worker holds no read end, so a report that the caller will
-        # never read (it is gone) fails instead of blocking
-        for fd in [report_r] + [r for _, r in workers]:
-            os.close(fd)
-        done, failed = [], {}
-        work(done, failed)
-        # one report at the end: a per-chunk write could fill the pipe and
-        # stall the worker while the caller computes
-        with open(report_w, "wb") as pipe:
-            pickle.dump((done, failed), pipe, pickle.HIGHEST_PROTOCOL)
+                break
+        return done, failed
 
     done, failed, workers = [], {}, []
     try:
         for _ in range(size - 1):
-            report_r, report_w = os.pipe()
-            try:
-                workers.append((_fork(lambda: worker(report_r, report_w)),
-                                report_r))
-            except BaseException:
-                os.close(report_r)
-                raise
-            finally:  # before the next fork, so no other worker holds it
-                os.close(report_w)
+            workers.append(_fork(lambda: work([], {})))
         work(done, failed)
     finally:
-        reports = []
-        for pid, report_r in workers:
-            with open(report_r, "rb") as pipe:
-                report = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reports.append((status, report))
+        for worker in workers:  # every worker is joined before a raise
+            try:
+                more_done, more_failed = _join(worker, "Monte Carlo worker")
+                done += more_done
+                failed.update(more_failed)
+            except Exception as exc:  # ranks before every chunk's failure
+                failed.setdefault(-1, exc)
         os.close(counter_r)
         os.close(counter_w)
-    for status, report in reports:
-        if status:
-            raise ChildProcessError(f"Monte Carlo worker exited with status "
-                                    f"{status}")
-        more_done, more_failed = pickle.loads(report)
-        done += more_done
-        failed.update(more_failed)
     if failed:
         raise failed[min(failed)]
     results = [None] * n_chunks

@@ -838,6 +838,26 @@ def test_writer_that_fails_without_an_os_error_exits_4(tmp_path, capsys,
     assert_no_child_process()
 
 
+def test_simulate_without_os_fork_writes_the_same_bytes(tmp_path, capsys,
+                                                       monkeypatch):
+    # the platforms without os.fork write each snapshot in-process
+    sc = write_scenario(tmp_path)
+    argv = ["simulate", "--scenario", str(sc), "--model", "macro2",
+            "--times", "0,0.4,0.8"]
+    for side in ("forked", "in-process"):
+        if side == "in-process":
+            monkeypatch.delattr(os, "fork")
+        assert main(argv + ["--out", str(tmp_path / side)]) == 0
+        blocked = tmp_path / f"{side}-blocked" / "fields_t0.4.csv"
+        blocked.mkdir(parents=True)
+        assert main(argv + ["--out", str(blocked.parent)]) == 4
+        assert capsys.readouterr().err == (
+            f"I/O error: [Errno 21] Is a directory: '{blocked}'\n")
+    assert (byte_contents(tmp_path / "in-process")
+            == byte_contents(tmp_path / "forked"))
+    assert_no_child_process()
+
+
 @pytest.mark.parametrize("key, value", [
     ("n_samples", 10**6 + 1), ("pce_nodes", 1e300), ("pce_order", 100)])
 def test_uq_counts_over_their_bound_exit_2_naming_the_key(tmp_path, capsys,

@@ -1,5 +1,6 @@
-"""Closures, capacities, grids and parameter validation."""
+"""Closures, capacities, grids, parameter validation and the fork helpers."""
 
+import os
 import re
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 from trafficflow.core import (
     AccidentCapacity,
     _capacity_eval_sorted,
+    _fork,
+    _join,
     _periodic_wrap,
     ConfigError,
     ConstantCapacity,
@@ -487,3 +490,60 @@ def test_macro_field_clips_roundoff_negatives():
     grid = Grid1D(0.0, 1.0, 0.5)
     f = MacroField(rho=np.array([-1e-13, 0.1]), h=np.ones(2), grid=grid)
     assert np.all(f.rho >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Forked children
+# ---------------------------------------------------------------------------
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_join_returns_what_the_child_returned():
+    value = {"rows": np.arange(3.0), "error": OSError(21, "Is a directory")}
+    got = _join(_fork(lambda: value), "child")
+    assert got.keys() == value.keys()
+    assert np.array_equal(got["rows"], value["rows"])
+    assert got["error"].args == value["error"].args
+    # a report larger than a pipe's buffer is read while the child writes
+    assert _join(_fork(lambda: bytes(1 << 20)), "child") == bytes(1 << 20)
+    assert_no_child_process()
+
+
+def test_a_child_that_raises_or_returns_no_pickle_exits_with_status_1():
+    def raises():
+        raise ValueError("in the child")
+
+    for child in (raises, lambda: (lambda: 0)):
+        with pytest.raises(ChildProcessError) as caught:
+            _join(_fork(child), "the probe")
+        assert str(caught.value) == "the probe exited with status 1"
+    assert_no_child_process()
+
+
+def test_a_child_that_exits_names_its_status():
+    with pytest.raises(ChildProcessError,
+                       match="^the probe exited with status 7$"):
+        _join(_fork(lambda: os._exit(7)), "the probe")
+    assert_no_child_process()
+
+
+def test_a_child_holds_no_read_end_of_an_earlier_report():
+    # the first child's report outgrows a pipe's buffer, so it blocks until
+    # read; a later child that held its read end would keep it from failing
+    # once the caller is gone
+    first = _fork(lambda: bytes(1 << 20))
+    read_end = first[1]
+
+    def probe():
+        try:
+            os.fstat(read_end)
+        except OSError:
+            return "closed"
+        return "open"
+
+    assert _join(_fork(probe), "the probe") == "closed"
+    assert _join(first, "the first child") == bytes(1 << 20)
+    assert_no_child_process()

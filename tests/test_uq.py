@@ -434,6 +434,19 @@ def test_pool_of_one_starts_no_thread(monkeypatch):
     assert map_chunks(lambda i: -i, 1, threads=0) == [0]
 
 
+def test_map_chunks_without_os_fork_runs_the_plain_loop(monkeypatch):
+    monkeypatch.setattr(uq, "pool_size", lambda threads, n_chunks: 2)
+    monkeypatch.delattr(os, "fork")
+    ran = []
+
+    def fn(i):
+        ran.append((i, os.getpid()))
+        return -i
+
+    assert map_chunks(fn, 5, threads=2) == [0, -1, -2, -3, -4]
+    assert ran == [(i, os.getpid()) for i in range(5)]
+
+
 def test_monte_carlo_rows_alive_do_not_grow_with_the_pool(monkeypatch):
     # pool_size reports k CPUs (k - 1 workers are forked, at most 7); the
     # chunks shrink as the pool grows, so the rows stepped at once, and

@@ -34,8 +34,10 @@ rh`, which take no scenario. In stderr the output root and the checkout
 of each side are replaced by <root> and <checkout>, so that the two
 sides can be compared. A command that has not ended after TIMEOUT_S
 seconds is killed with its process group and reported with the exit code
-"timeout". Prints one line per command; exits 1 if a command differs in
-exit code or files, or in stderr while it exits 0 on both sides.
+"timeout". Prints one line per command, then one with the totals ("71
+commands: 71 same, 0 differ"), so that a log cut off early cannot pass
+for a full one; exits 1 if a command differs in exit code or files, or in
+stderr while it exits 0 on both sides.
 """
 
 from __future__ import annotations
@@ -298,6 +300,7 @@ def main(argv=None) -> int:
     (work / "scenarios").mkdir(parents=True, exist_ok=True)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     failed = False
+    counts = {"same": 0, "differ": 0}
     for name, doc, cli in commands(sides["change"]):
         if args.only and name not in args.only:
             continue
@@ -315,11 +318,14 @@ def main(argv=None) -> int:
         fatal = [d for d in diffs if d != "stderr" or codes == (0, 0)]
         failed |= bool(fatal)
         status = "same" if not diffs else "DIFFERS: " + "; ".join(diffs)
+        counts["differ" if diffs else "same"] += 1
         print(f"{name} (exit {codes[1]}): {status}", flush=True)
         if "stderr" in diffs:
             for side in sides:
                 lines = res[side]["stderr"].decode(errors="replace")
                 print(f"    {side}: {(lines.splitlines() or [''])[-1]}")
+    print(f"{sum(counts.values())} commands: {counts['same']} same, "
+          f"{counts['differ']} differ")
     return 1 if failed else 0
 
 
