@@ -1,12 +1,12 @@
 """Command-line driver: simulate / compare / uq / analyze.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 I/O error.
-Every run is reproducible from (scenario file, seed). `--threads` sets the
-number of workers that run the Monte Carlo chunks of `uq mc` and
-`uq convergence`: the command's own process and forked ones (0, the
-default, means every CPU). Their outputs are byte-identical whatever its
-value; the Galerkin study of `uq convergence` runs in the command's
-process alone. The other commands exit 2 if it is given.
+Each command and each mode of `uq` and `analyze` declares only the flags
+it reads; argparse rejects any other (exit 2, naming it). Every run is
+reproducible from (scenario file, seed). `--threads` (`uq mc`,
+`uq convergence`) sets the Monte Carlo workers: the command's own process
+and forked ones (0, the default, means every CPU). Outputs are
+byte-identical whatever its value.
 """
 
 from __future__ import annotations
@@ -130,23 +130,14 @@ def _count(value, flag: str, minimum: int, default=None, maximum=None):
     return value
 
 
-def _reject_unused_flags(args, scenario: Scenario, models,
-                         uq_mode=None) -> None:
-    """Exit 2 on a negative --seed, or on a flag that the command, its uq
-    mode or all of its models ignore ('uq convergence' fixes its node
-    counts and orders)."""
+def _reject_unused_flags(args, scenario: Scenario, models) -> None:
+    """Exit 2 on a negative --seed, or on a flag that the scenario or all
+    of the command's models ignore (argparse rejects the flags a command
+    does not declare)."""
     _count(args.seed, "--seed", 0)
-    for flag in ("--threads", "--samples"):
-        if (getattr(args, flag[2:], None) is not None
-                and uq_mode not in ("mc", "convergence")):
-            raise ConfigError(f"{flag} applies to 'uq mc' and 'uq "
-                              f"convergence' only")
-    for flag in ("--nodes", "--order"):
-        if getattr(args, flag[2:], None) is not None and uq_mode != "pce":
-            raise ConfigError(f"{flag} applies to 'uq pce' only")
     if args.micro_speed != "linear" and "micro" not in models:
         raise ConfigError("--micro-speed applies to the micro model only")
-    if (args.accident_size is not None
+    if (getattr(args, "accident_size", None) is not None
             and not isinstance(scenario.capacity, AccidentCapacity)):
         raise ConfigError("--accident-size applies to the accident capacity "
                           "only")
@@ -157,8 +148,9 @@ class _SnapshotWriter:
     fields all live on grid, from one forked writer process, so that their
     CSV text is formatted while the models step.
 
-    `with writer:` forks it (core._fork); enter after every model's entry
-    check and before the first step. These commands start no thread, and
+    `with writer:` forks it (core._fork); enter before run_model builds
+    the first initial state, so that the states' temporaries are not
+    shared with the writer. These commands start no thread, and
     the writer makes no BLAS call, so no lock held at the fork is taken in
     the writer. The command's snapshots then go over one pipe, each as its
     file name and a line feed, then the raw float64 bytes of rho and h;
@@ -257,9 +249,10 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     writer = _SnapshotWriter(out_dir, scenario.grid)
     emit, kept = writer.emitter(output.fields_filename)
-    run = run_model(scenario, model, seed=args.seed, y=args.accident_size,
-                    out_times=times, micro_speed=args.micro_speed, emit=emit)
     with writer:
+        run = run_model(scenario, model, seed=args.seed, y=args.accident_size,
+                        out_times=times, micro_speed=args.micro_speed,
+                        emit=emit)
         run()
     meta = {
         "model": model,
@@ -283,12 +276,14 @@ def cmd_compare(args) -> int:
     T = scenario.params.T
     writer = _SnapshotWriter(out_dir, scenario.grid)
     runs = []  # every model is checked before the first one steps
-    for m in models:
-        emit, kept = writer.emitter(lambda t, m=m: f"fields_{m}_t{t:g}.csv")
-        runs.append((m, kept, run_model(
-            scenario, m, seed=args.seed, y=args.accident_size,
-            out_times=(0.0, T), micro_speed=args.micro_speed, emit=emit)))
     with writer:  # one writer for every model
+        for m in models:
+            emit, kept = writer.emitter(
+                lambda t, m=m: f"fields_{m}_t{t:g}.csv")
+            runs.append((m, kept, run_model(
+                scenario, m, seed=args.seed, y=args.accident_size,
+                out_times=(0.0, T), micro_speed=args.micro_speed,
+                emit=emit)))
         for _, _, run in runs:
             run()
     finals = {m: kept["last"] for m, kept, _ in runs}
@@ -317,18 +312,17 @@ def cmd_uq(args) -> int:
     if scenario.uq is None:
         raise ConfigError("scenario lacks a uq section")
     model = args.model
-    if args.accident_size is not None:
-        raise ConfigError("--accident-size does not apply to uq commands: "
-                          "the accident size is the random input there")
-    _reject_unused_flags(args, scenario, (model,), args.uq_mode)
-    threads = _count(args.threads, "--threads", 0, 0)
+    _reject_unused_flags(args, scenario, (model,))
     speed_law = MICRO_SPEED_LAWS[args.micro_speed]
-    n_samples = _count(args.samples, "--samples", 1, scenario.uq.n_samples,
-                       MAX_SAMPLES)
-    n_nodes = _count(args.nodes, "--nodes", 1, scenario.uq.pce_nodes,
-                     MAX_PCE_NODES)
-    order = _count(args.order, "--order", 0, scenario.uq.pce_order,
-                   MAX_PCE_NODES - 1)
+    if args.uq_mode == "pce":
+        n_nodes = _count(args.nodes, "--nodes", 1, scenario.uq.pce_nodes,
+                         MAX_PCE_NODES)
+        order = _count(args.order, "--order", 0, scenario.uq.pce_order,
+                       MAX_PCE_NODES - 1)
+    else:  # mc, convergence
+        threads = _count(args.threads, "--threads", 0, 0)
+        n_samples = _count(args.samples, "--samples", 1,
+                           scenario.uq.n_samples, MAX_SAMPLES)
     if args.uq_mode != "mc" and not scenario.uq.is_uniform:
         raise ConfigError("the Galerkin expansion supports the uniform law "
                           "(alpha = beta = 1) only")
@@ -351,12 +345,7 @@ def cmd_uq(args) -> int:
     if model == "micro":
         meta["micro_speed"] = args.micro_speed
 
-    if args.uq_mode == "mc":
-        stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed,
-                               speed_law=speed_law, threads=threads)
-        output.write_stats_csv(out("mc_summary.csv"), stats)
-        meta.update(n_samples=n_samples, mc_rows_solved=stats.rows_solved)
-    elif args.uq_mode == "pce":
+    if args.uq_mode == "pce":
         fields = uq.run_pce(scenario, model, [(n_nodes, order)],
                             out_times=(scenario.params.T,),
                             speed_law=speed_law)
@@ -364,18 +353,17 @@ def cmd_uq(args) -> int:
             output.write_fields_csv(out(f"pce_expectation_t{t:g}.csv"),
                                     field)
         meta.update(n_nodes=n_nodes, order=order)
-    elif args.uq_mode == "convergence":
+    else:  # mc, convergence
         stats = uq.monte_carlo(scenario, model, n_samples, seed=args.seed,
                                speed_law=speed_law, threads=threads)
         # written first, so that a Galerkin study that fails keeps it
         output.write_stats_csv(out("mc_summary.csv"), stats)
+        meta.update(n_samples=n_samples, mc_rows_solved=stats.rows_solved)
+    if args.uq_mode == "convergence":
         result = uq.pce_convergence_study(scenario, model, stats,
                                           speed_law=speed_law)
         output.write_convergence_csv(out("convergence.csv"), result)
-        meta.update(n_samples=n_samples, mc_rows_solved=stats.rows_solved,
-                    rate_rho=result.rate_rho, rate_h=result.rate_h)
-    else:
-        raise ConfigError(f"unknown uq mode {args.uq_mode!r}")
+        meta.update(rate_rho=result.rate_rho, rate_h=result.rate_h)
 
     output.write_metadata(out("metadata.json"), meta)
     return EXIT_OK
@@ -421,17 +409,12 @@ def cmd_analyze(args) -> int:
             lines.append(",".join(repr(float(v)) for v in (s, rho, h, c, lv)))
         (out_dir / f"curve_family{args.family}.csv").write_text(
             "\n".join(lines) + "\n")
-    elif args.analyze_mode == "rh":
-        if None in (args.rho_right, args.h_right, args.c_right):
-            raise ConfigError("rh mode needs --rho-right, --h-right and "
-                              "--c-right")
+    else:  # rh
         right = analysis.StateUHC(rho=args.rho_right, h=args.h_right,
                                   c=args.c_right)
         res = analysis.rh_residual(state, right, args.speed, params)
         (out_dir / "rh.json").write_text(
             json.dumps({"residuals": list(res)}, indent=2) + "\n")
-    else:
-        raise ConfigError(f"unknown analyze mode {args.analyze_mode!r}")
     return EXIT_OK
 
 
@@ -441,19 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multiscale traffic flow simulation and UQ toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, accident_size=False):
         p.add_argument("--scenario", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
-                       help="Monte Carlo workers of 'uq mc' and 'uq "
-                            "convergence', this process and forked ones "
-                            "(0, the default: every CPU); outputs are "
-                            "byte-identical whatever the value; other "
-                            "commands exit 2 if it is given")
-        p.add_argument("--accident-size", type=float, default=None,
-                       help="fixed accident half-width Y for deterministic "
-                            "runs with the accident capacity")
+        if accident_size:  # the uq commands draw it
+            p.add_argument("--accident-size", type=float, default=None,
+                           help="fixed accident half-width Y for "
+                                "deterministic runs with the accident "
+                                "capacity")
         p.add_argument("--micro-speed", choices=sorted(MICRO_SPEED_LAWS),
                        default="linear",
                        help="follow-the-leader speed law: 'linear' (1 - u) "
@@ -461,49 +440,68 @@ def build_parser() -> argparse.ArgumentParser:
                             "with the macroscopic solvers)")
 
     p = sub.add_parser("simulate", help="run a single model")
-    add_common(p)
+    add_common(p, accident_size=True)
     p.add_argument("--model", choices=KNOWN_MODELS)
     p.add_argument("--times", help="comma-separated output times")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="run several models on a shared grid")
-    add_common(p)
+    add_common(p, accident_size=True)
     p.add_argument("--models", required=True,
                    help="comma-separated model list")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("uq", help="Monte Carlo / polynomial chaos studies")
-    p.add_argument("uq_mode", choices=("mc", "pce", "convergence"))
-    add_common(p)
-    p.add_argument("--model", choices=("micro", "macro2"), default="macro2")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--order", type=int)
     p.set_defaults(func=cmd_uq)
+    modes = p.add_subparsers(dest="uq_mode", required=True)
+    for mode in ("mc", "pce", "convergence"):
+        p = modes.add_parser(mode)
+        add_common(p)
+        p.add_argument("--model", choices=("micro", "macro2"),
+                       default="macro2")
+        if mode == "pce":
+            p.add_argument("--nodes", type=int)
+            p.add_argument("--order", type=int)
+        else:
+            p.add_argument("--samples", type=int)
+            p.add_argument("--threads", type=int, default=None,
+                           help="Monte Carlo workers, this process and "
+                                "forked ones (0, the default: every CPU); "
+                                "outputs are byte-identical whatever the "
+                                "value")
 
     p = sub.add_parser("analyze", help="eigenstructure and wave curves")
-    p.add_argument("analyze_mode", choices=("eigen", "curves", "rh"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--eta", type=float, default=1e-2)
-    p.add_argument("--family", type=int, choices=(1, 2, 3), default=2)
-    p.add_argument("--sigma-max", type=float, default=0.5)
-    p.add_argument("--n-steps", type=int, default=100)
-    p.add_argument("--rho-right", type=float)
-    p.add_argument("--h-right", type=float)
-    p.add_argument("--c-right", type=float)
-    p.add_argument("--speed", type=float, default=0.0)
     p.set_defaults(func=cmd_analyze)
+    modes = p.add_subparsers(dest="analyze_mode", required=True)
+    for mode in ("eigen", "curves", "rh"):
+        p = modes.add_parser(mode)
+        p.add_argument("--out", required=True)
+        p.add_argument("--rho", type=float, required=True)
+        p.add_argument("--h", type=float, required=True)
+        p.add_argument("--c", type=float, default=1.0)
+        p.add_argument("--gamma", type=float, default=0.5)
+        p.add_argument("--eta", type=float, default=1e-2)
+        if mode == "curves":
+            p.add_argument("--family", type=int, choices=(1, 2, 3),
+                           default=2)
+            p.add_argument("--sigma-max", type=float, default=0.5)
+            p.add_argument("--n-steps", type=int, default=100)
+        elif mode == "rh":
+            for flag in ("--rho-right", "--h-right", "--c-right"):
+                p.add_argument(flag, type=float, required=True)
+            p.add_argument("--speed", type=float, default=0.0)
 
     return parser
 
 
 def main(argv=None) -> int:
+    # kept referenced until the command ends: its reference cycles, freed
+    # by a collection after a Monte Carlo fork, would copy shared pages
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a malformed command line (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -599,6 +599,45 @@ def test_analyze_rh_requires_right_state(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+ANALYZE_STATE = ["--rho", "0.1", "--h", "1"]
+RIGHT_STATE = ["--rho-right", "0.1", "--h-right", "1", "--c-right", "1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    # each analyze mode declares only the flags it reads
+    (["analyze", "eigen", *ANALYZE_STATE, "--family", "3"], "--family"),
+    (["analyze", "eigen", *ANALYZE_STATE, "--speed", "1"], "--speed"),
+    (["analyze", "curves", *ANALYZE_STATE, "--rho-right", "1"],
+     "--rho-right"),
+    (["analyze", "rh", *ANALYZE_STATE, *RIGHT_STATE, "--n-steps", "3"],
+     "--n-steps"),
+    (["analyze", "rh", *ANALYZE_STATE], "--rho-right"),
+    (["simulate", "--model", "macro2", "--accident-size", "2", "--threads",
+      "2"], "--threads"),
+    (["compare", "--models", "macro1,macro2", "--accident-size", "2",
+      "--samples", "4"], "--samples"),
+    (["uq", "mc", "--nodes", "3"], "--nodes"),
+    (["uq", "pce", "--threads", "2"], "--threads"),
+    (["uq", "convergence", "--accident-size", "2"], "--accident-size"),
+])
+def test_argparse_rejects_a_flag_the_mode_does_not_declare(tmp_path, capsys,
+                                                           argv, flag):
+    if argv[0] != "analyze":
+        sc = write_scenario(tmp_path, capacity={"variant": "accident"})
+        argv = argv + ["--scenario", str(sc)]
+    # main returns the status instead of raising SystemExit
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["uq", "pce", "--help"],
+                                  ["analyze", "rh", "--help"]])
+def test_help_returns_0(capsys, argv):
+    assert main(argv) == 0
+    assert "usage: trafficflow" in capsys.readouterr().out
+
+
 def byte_contents(d):
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
 

@@ -28,14 +28,15 @@ Monte Carlo chunks (exit 3), and one whose chunks all fail the CFL bound
 is an existing directory, so that its write fails (exit 4), runs that
 exit 2 (the particle dt bound, in `simulate` and after macro2 in
 `compare`; the CFL bound after the particle model in `compare`; the
-Euler bound in `uq pce --model micro`; a uniform law given an alpha),
+Euler bound in `uq pce --model micro`; a uniform law given an alpha;
+`--threads` given to `simulate` and to `uq pce`, which do not take it),
 and `analyze eigen`, `analyze curves` for families 1 to 3 and `analyze
 rh`, which take no scenario. In stderr the output root and the checkout
 of each side are replaced by <root> and <checkout>, so that the two
 sides can be compared. A command that has not ended after TIMEOUT_S
 seconds is killed with its process group and reported with the exit code
-"timeout". Prints one line per command, then one with the totals ("71
-commands: 71 same, 0 differ"), so that a log cut off early cannot pass
+"timeout". Prints one line per command, then one with the totals ("73
+commands: 73 same, 0 differ"), so that a log cut off early cannot pass
 for a full one; exits 1 if a command differs in exit code or files, or in
 stderr while it exits 0 on both sides.
 """
@@ -232,6 +233,10 @@ def commands(change: Path) -> list:
          _variant(ACCIDENT, uq={"distribution": {"name": "uniform",
                                                  "alpha": 5}}),
          ["uq", "mc", "--model", "macro2", "--samples", "16"]),
+        # a flag that the command or mode does not take
+        ("exit2_simulate_threads", SIMULATE,
+         ["simulate", "--model", "macro2", "--threads", "2"]),
+        ("exit2_uq_pce_threads", ACCIDENT, ["uq", "pce", "--threads", "2"]),
     ]
     state = ["--rho", "0.15", "--h", "0.8", "--c", "0.6"]
     runs.append(("analyze_eigen", None, ["analyze", "eigen", *state]))
